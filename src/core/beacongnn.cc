@@ -4,18 +4,29 @@
 
 namespace beacongnn {
 
+namespace {
+
+/** @p o with the model's feature dimension taken from the dataset. */
+SystemOptions
+withFeatureDim(SystemOptions o, std::uint16_t dim)
+{
+    o.model.featureDim = dim;
+    return o;
+}
+
+} // namespace
+
 BeaconGnnSystem::BeaconGnnSystem(graph::Graph g,
                                  graph::FeatureTable features,
                                  const SystemOptions &options)
-    : opts(options), _graph(std::move(g)), _features(std::move(features)),
-      _backend(opts.system.flash), _store(opts.system.flash),
-      _fw(opts.system),
-      _accel(platforms::makePlatform(opts.platform).ssdCompute
-                 ? accel::ssdAcceleratorConfig()
-                 : accel::discreteTpuConfig()),
-      _accelBus("accel")
+    : opts(withFeatureDim(options, features.dim())), _graph(std::move(g)),
+      _features(std::move(features)),
+      // The blocks are reserved below through the device's own host
+      // interface (§VI-A), so there is no reservation to mirror.
+      _device(platforms::makePlatform(opts.platform), opts.system,
+              platforms::TopologyConfig{}, opts.model, {}, 0, false),
+      _store(opts.system.flash)
 {
-    opts.model.featureDim = _features.dim();
 
     // §VI-A: the host fetches reserved block addresses, converts the
     // dataset and flushes it through the manipulation interface.
@@ -28,7 +39,7 @@ BeaconGnnSystem::BeaconGnnSystem(graph::Graph g,
     std::uint64_t want = std::max<std::uint64_t>(
         (raw * 3) / block_bytes + 16,
         opts.system.flash.totalDies() + 8);
-    _host = std::make_unique<ssd::HostInterface>(_fw);
+    _host = std::make_unique<ssd::HostInterface>(_device.firmware());
     // §VI-A flow: fetch the reserved block list, deliver the GNN
     // configuration, convert, then flush through the verified path.
     auto blocks = _host->getBlockList(0, want);
@@ -42,25 +53,33 @@ BeaconGnnSystem::BeaconGnnSystem(graph::Graph g,
     std::vector<flash::BlockId> unused(blocks.begin() +
                                            _layout.blocks.size(),
                                        blocks.end());
-    _fw.ftl().releaseBlocks(unused);
+    _device.firmware().ftl().releaseBlocks(unused);
 
     ssd::FlushResult flush = _host->flushDirectGraph(
-        0, _layout, _graph, _features, _store, _backend);
+        0, _layout, _graph, _features, _store, _device.backend());
     if (!flush.ok)
         sim::fatal("BeaconGnnSystem: DirectGraph flush failed "
                    "verification");
     _flushTime = flush.finish;
     _prepCursor = flush.finish;
 
-    _io = std::make_unique<ssd::IoPath>(_fw, _backend, _store);
-    _source = std::make_unique<dg::PageByteSource>(_store,
-                                                   _features.dim());
-    _engine = std::make_unique<engines::GnnEngine>(
-        _queue, _backend, _fw, _layout, _graph, opts.model,
-        platforms::makePlatform(opts.platform).flags, *_source);
+    _io = std::make_unique<ssd::IoPath>(_device.firmware(),
+                                        _device.backend(), _store);
+    bindEngine();
 }
 
 BeaconGnnSystem::~BeaconGnnSystem() = default;
+
+void
+BeaconGnnSystem::bindEngine()
+{
+    _source = std::make_unique<dg::PageByteSource>(_store,
+                                                   _features.dim());
+    _engine = std::make_unique<engines::GnnEngine>(
+        std::vector<engines::DevicePort>{_device.port()}, _layout, _graph,
+        opts.model, platforms::makePlatform(opts.platform).flags,
+        *_source);
+}
 
 MiniBatchResult
 BeaconGnnSystem::runMiniBatch(std::span<const graph::NodeId> targets)
@@ -74,7 +93,8 @@ BeaconGnnSystem::runMiniBatch(std::span<const graph::NodeId> targets)
                          out.prep = std::move(r);
                          got = true;
                      });
-    _queue.run();
+    _device.queue().run();
+    _engine->completePrepared();
     if (!got)
         sim::panic("runMiniBatch: preparation did not complete");
     _prepCursor = out.prep.finish;
@@ -90,8 +110,9 @@ BeaconGnnSystem::runMiniBatch(std::span<const graph::NodeId> targets)
     // batch on the accelerator.
     gnn::ComputeWorkload w =
         gnn::measureCompute(out.prep.subgraph, opts.model);
-    accel::ComputeEstimate est = _accel.estimate(w);
-    sim::Grant grant = _accelBus.acquire(out.prep.finish, est.total());
+    accel::ComputeEstimate est = _device.accelerator().estimate(w);
+    sim::Grant grant =
+        _device.accelBus().acquire(out.prep.finish, est.total());
     out.computeTime = est.total();
     out.finish = grant.end;
     return out;
@@ -100,28 +121,25 @@ BeaconGnnSystem::runMiniBatch(std::span<const graph::NodeId> targets)
 ssd::ScrubReport
 BeaconGnnSystem::scrub()
 {
-    return _fw.scrub(_layout, _graph, _features, _store);
+    return _device.firmware().scrub(_layout, _graph, _features, _store);
 }
 
 bool
 BeaconGnnSystem::reclaimIfNeeded(double threshold)
 {
-    if (!_fw.ftl().needsReclaim(_store, threshold))
+    ssd::Firmware &fw = _device.firmware();
+    if (!fw.ftl().needsReclaim(_store, threshold))
         return false;
     // Erase the old copy only after the migrated one is verified;
     // reclaimDirectGraph handles the whole sequence.
-    ssd::ReclaimResult r = _fw.reclaimDirectGraph(
-        _prepCursor, _layout, _graph, _features, _store, _backend);
+    ssd::ReclaimResult r = fw.reclaimDirectGraph(
+        _prepCursor, _layout, _graph, _features, _store, _device.backend());
     if (!r.ok)
         return false;
     _layout = std::move(r.layout);
     _prepCursor = r.finish;
     // Rebind the engine and source to the migrated layout.
-    _source = std::make_unique<dg::PageByteSource>(_store,
-                                                   _features.dim());
-    _engine = std::make_unique<engines::GnnEngine>(
-        _queue, _backend, _fw, _layout, _graph, opts.model,
-        platforms::makePlatform(opts.platform).flags, *_source);
+    bindEngine();
     return true;
 }
 

@@ -51,11 +51,10 @@ struct DevicePort
     cache::VertexCache *cache = nullptr;
     /** Outbound P2P port (null on a single device). */
     sim::BandwidthResource *p2pOut = nullptr;
-    /** This device's own event queue / local clock (multi-device
-     *  runs; null on the single-device convenience path, which uses
-     *  the engine's shared queue). Cross-device work must reach a
-     *  foreign device's queue through the mailbox, never by direct
-     *  scheduling (DESIGN.md §13, bgnlint BGN006). */
+    /** This device's own event queue / local clock (required; a
+     *  one-device run drains it directly). Cross-device work must
+     *  reach a foreign device's queue through the mailbox, never by
+     *  direct scheduling (DESIGN.md §13, bgnlint BGN006). */
     sim::EventQueue *queue = nullptr;
     /** Chrome-trace pid base of this device's tracks. */
     std::uint32_t tracePidBase = 0;

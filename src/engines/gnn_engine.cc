@@ -1,6 +1,7 @@
 #include "engines/gnn_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -108,30 +109,29 @@ namespace {
 /** Slot value used in command metadata for "no parent" (targets). */
 constexpr std::uint32_t kRootSlot = gnn::kNoParent;
 
-// On an array, a command's parentSlot crosses the fabric, so it must
-// name a subgraph entry globally: (device << 24) | lane-local index.
-// Device 0's packing is the identity, kRootSlot (all ones) is never a
-// legal packed value (the lane-local space stops one short), and the
-// constructor rejects topologies beyond 8 device bits.
-constexpr unsigned kSlotBits = 24;
-constexpr std::uint32_t kSlotMask = (1u << kSlotBits) - 1;
+// A command's parentSlot may cross the fabric, so it names a subgraph
+// entry globally: (device << shift) | lane-local index, with the shift
+// leaving just enough device bits for the topology (none on one
+// device). Device 0's packing is the identity, and kRootSlot (all
+// ones) is never a legal packed value: the lane-local space stops one
+// short of the mask.
+std::uint32_t
+slotMask(unsigned shift)
+{
+    return static_cast<std::uint32_t>((std::uint64_t{1} << shift) - 1);
+}
 
 std::uint32_t
-packSlot(unsigned dev, std::uint32_t local)
+packSlot(unsigned shift, unsigned dev, std::uint32_t local)
 {
-    return (static_cast<std::uint32_t>(dev) << kSlotBits) | local;
+    return static_cast<std::uint32_t>(std::uint64_t{dev} << shift) |
+           local;
 }
 
 unsigned
-packedDev(std::uint32_t slot)
+packedDev(unsigned shift, std::uint32_t slot)
 {
-    return slot >> kSlotBits;
-}
-
-std::uint32_t
-packedLocal(std::uint32_t slot)
-{
-    return slot & kSlotMask;
+    return static_cast<unsigned>(std::uint64_t{slot} >> shift);
 }
 
 } // namespace
@@ -142,15 +142,10 @@ struct GnnEngine::Batch
     std::uint64_t id = 0;
     PrepResult res;
     std::function<void(PrepResult &&)> done;
-    bool finished = false;
-
-    // Streaming mode: commands in flight.
-    std::uint64_t outstanding = 0;
-    sim::Tick finishMax = 0;
 
     /**
-     * Multi-device runs: all mutable per-batch state a device touches
-     * while its queue runs on a worker thread. One lane per device;
+     * All mutable per-batch state a device touches while its queue
+     * runs (possibly on a worker thread). One lane per device;
      * completePrepared() merges them into `res` in device order, so
      * the merged result is a pure function of the lane contents —
      * independent of the worker count.
@@ -167,23 +162,15 @@ struct GnnEngine::Batch
         bool ok = true;
         sim::Tick finishMax = 0;
         /** This device's subgraph fragment (parents packed). */
-        struct Entry
-        {
-            graph::NodeId node;
-            std::uint8_t hop;
-            gnn::Slot parent;
-        };
-        std::vector<Entry> frag;
+        std::vector<gnn::SubgraphEntry> frag;
+        /** Batch-level dedupe: primary sections this device already
+         *  fetched this batch, mapped to the time the data became
+         *  available. SSD DRAM does not span the fabric. */
+        std::unordered_map<std::uint64_t, sim::Tick> fetched;
     };
     std::vector<Lane> lanes;
-    /** Host-side submit-complete time (multi mode finish floor). */
+    /** Host-side submit-complete time (the batch's finish floor). */
     sim::Tick readyAt = 0;
-
-    // Streaming dedup: nodes whose primary section this batch
-    // already fetched (maps to the time its data became available).
-    // One map per device — SSD DRAM caches do not span the fabric.
-    // bgnlint:lane-owned
-    std::vector<std::unordered_map<std::uint64_t, sim::Tick>> fetched;
 
     // Barrier mode: visits of the next hop, accumulated this hop.
     struct Visit
@@ -192,8 +179,6 @@ struct GnnEngine::Batch
         gnn::Slot parent;
     };
     std::vector<Visit> nextVisits;
-    std::uint64_t hopOutstanding = 0;
-    sim::Tick hopLast = 0;
 };
 
 /** One cross-device command in flight through the mailbox. */
@@ -207,92 +192,51 @@ struct GnnEngine::CrossMsg
     unsigned entryChannel = 0; ///< Crossbar entry at the destination.
 };
 
-GnnEngine::GnnEngine(sim::EventQueue &queue_, std::vector<DevicePort> ports_,
+GnnEngine::GnnEngine(std::vector<DevicePort> ports_,
                      const dg::DirectGraphLayout &layout_,
                      const graph::Graph &graph_,
                      const gnn::ModelConfig &model_,
                      const PrepFlags &flags,
                      const dg::SectionSource &source_,
                      const FabricConfig &fabric_)
-    : queue(queue_), ports(std::move(ports_)), layout(layout_),
-      g(graph_), model(model_), _flags(flags), source(source_),
-      fabric(fabric_)
+    : ports(std::move(ports_)), layout(layout_), g(graph_), model(model_),
+      _flags(flags), source(source_), fabric(fabric_)
 {
     if (ports.empty())
         sim::fatal("GnnEngine: no device ports");
     for (const DevicePort &p : ports) {
-        if (!p.backend || !p.fw || !p.sampler)
+        if (!p.backend || !p.fw || !p.sampler || !p.queue)
             sim::fatal("GnnEngine: incomplete device port");
         if (_flags.hwRouter && !p.router)
             sim::fatal("GnnEngine: hwRouter platform without a router");
     }
-    if (ports.size() > 1) {
+    const std::size_t ndev = ports.size();
+    if (ndev > 1) {
         if (!_flags.directGraph)
             sim::fatal("GnnEngine: multi-device arrays require a "
                        "streaming (DirectGraph) platform");
-        if (ports.size() > (1u << (32 - kSlotBits)))
-            sim::fatal("GnnEngine: too many devices for packed "
-                       "subgraph slots");
         for (const DevicePort &p : ports) {
             if (!p.p2pOut)
                 sim::fatal("GnnEngine: array port without a P2P link");
-            if (!p.queue)
-                sim::fatal("GnnEngine: array port without a device "
-                           "event queue");
         }
         if (!fabric.owner || fabric.owner->size() < g.numNodes())
             sim::fatal("GnnEngine: array without an ownership table");
-        mailbox = std::make_unique<sim::Mailbox<CrossMsg>>(ports.size());
-        p2pSeq.assign(ports.size(), 0);
-        laneRouted.assign(ports.size(),
-                          std::vector<std::uint64_t>(ports.size(), 0));
-        laneFallbacks.assign(ports.size(), 0);
-        hostRouted.assign(ports.size(), 0);
     }
-    laneHealth.assign(ports.size(), DeviceHealth{});
-}
-
-GnnEngine::GnnEngine(sim::EventQueue &queue_,
-                     flash::FlashBackend &backend,
-                     ssd::Firmware &firmware,
-                     const dg::DirectGraphLayout &layout_,
-                     const graph::Graph &graph_,
-                     const gnn::ModelConfig &model_,
-                     const PrepFlags &flags,
-                     const dg::SectionSource &source_)
-    : queue(queue_),
-      ownedSampler(std::make_unique<DieSampler>(
-          firmware.config().engine, gnnGlobalConfig(model_),
-          DieSamplerOptions{flags.coalesceSecondary})),
-      ownedRouter(flags.hwRouter
-                      ? std::make_unique<CommandRouter>(
-                            firmware.config().engine, backend.config())
-                      : nullptr),
-      ports{DevicePort{&backend, &firmware, ownedRouter.get(),
-                       ownedSampler.get(), nullptr, nullptr, 0}},
-      layout(layout_), g(graph_), model(model_), _flags(flags),
-      source(source_)
-{
-    // Single-device construction: device 0 is the only lane and the
-    // parallel driver never runs. bgnlint:allow(BGN007)
-    ports[0].queue = &queue;
-    laneHealth.assign(1, DeviceHealth{});
+    slotShift = 32 - static_cast<unsigned>(std::bit_width(ndev - 1));
+    mailbox = std::make_unique<sim::Mailbox<CrossMsg>>(ndev);
+    p2pSeq.assign(ndev, 0);
+    laneRouted.assign(ndev, std::vector<std::uint64_t>(ndev, 0));
+    laneFallbacks.assign(ndev, 0);
+    hostRouted.assign(ndev, 0);
+    laneHealth.assign(ndev, DeviceHealth{});
 }
 
 GnnEngine::~GnnEngine() = default;
 
-sim::EventQueue &
-GnnEngine::homeQueue(unsigned dev)
-{
-    return multiDevice() ? *ports[dev].queue : queue;
-}
-
 sim::TraceSink *
 GnnEngine::laneTrace(unsigned dev)
 {
-    if (!multiDevice())
-        return trace;
-    return laneShards.empty() ? nullptr : laneShards[dev].get();
+    return laneShards.empty() ? trace : laneShards[dev].get();
 }
 
 unsigned
@@ -380,7 +324,11 @@ GnnEngine::prepare(sim::Tick start, std::uint64_t batch_id,
     b->res.start = start;
     b->res.hops.resize(model.hops + 1u);
     b->res.perDevice.resize(ports.size());
-    b->fetched.resize(ports.size());
+    b->lanes.resize(ports.size());
+    // Pre-sizing every lane happens on the prep thread before the
+    // queues run; no lane is live yet. bgnlint:allow(BGN007)
+    for (Batch::Lane &l : b->lanes)
+        l.hops.resize(model.hops + 1u);
 
     const auto &host = ports[0].fw->config().host;
     // Before the first batch, the firmware broadcasts the global GNN
@@ -393,46 +341,35 @@ GnnEngine::prepare(sim::Tick start, std::uint64_t batch_id,
     sim::Tick ready = start + host.batchOverhead + host.nvmeRoundTrip +
                       host.translatePerNode * targets.size();
     b->res.tally.hostCpuBusy += host.translatePerNode * targets.size();
-
-    for (graph::NodeId t : targets)
-        b->nextVisits.push_back({t, kRootSlot});
+    b->readyAt = ready;
+    inFlight.push_back(b);
 
     if (_flags.directGraph) {
-        if (multiDevice()) {
-            // Array: per-device lanes, run by the conservative
-            // parallel driver. The batch completes via
-            // completePrepared() after the driver quiesces.
-            b->readyAt = ready;
-            b->lanes.resize(ports.size());
-            // Pre-sizing every lane happens on the prep thread
-            // before the driver starts; no lane is live yet.
-            // bgnlint:allow(BGN007)
-            for (Batch::Lane &l : b->lanes)
-                l.hops.resize(model.hops + 1u);
-            inFlight.push_back(b);
-            seedMulti(b, ready);
-            return;
-        }
-        queue.scheduleAt(ready, [this, b] { startStreaming(b); });
-    } else {
-        queue.scheduleAt(ready, [this, b] { startBarrier(b); });
+        seedStreaming(b, targets, ready);
+        return;
     }
+    for (graph::NodeId t : targets)
+        b->nextVisits.push_back({t, kRootSlot});
+    // The barrier pipeline is single-device: device 0's queue is the
+    // only one.
+    homeQueue(0).scheduleAt(
+        ready, [this, b] { runHop(b, 0, homeQueue(0).now()); });
 }
 
 void
-GnnEngine::seedMulti(const std::shared_ptr<Batch> &b, sim::Tick ready)
+GnnEngine::seedStreaming(const std::shared_ptr<Batch> &b,
+                         std::span<const graph::NodeId> targets,
+                         sim::Tick ready)
 {
-    auto visits = std::move(b->nextVisits);
-    b->nextVisits.clear();
     // The host links to every array member: each device's targets are
     // injected at that device's frontend, preserving the submission
     // order within a device. Each target goes to the least-loaded
     // healthy replica of its node (the host's own routed table — this
     // runs on the prep thread before the driver starts).
-    std::vector<std::vector<Batch::Visit>> by_dev(ports.size());
-    for (const auto &v : visits) {
+    std::vector<std::vector<graph::NodeId>> by_dev(ports.size());
+    for (graph::NodeId t : targets) {
         std::uint64_t fb = 0;
-        const unsigned dev = routeOn(hostRouted, v.node, ready, &fb);
+        const unsigned dev = routeOn(hostRouted, t, ready, &fb);
         if (fb) {
             b->res.replicaFallbacks += fb;
             hostFallbacks += fb;
@@ -444,7 +381,7 @@ GnnEngine::seedMulti(const std::shared_ptr<Batch> &b, sim::Tick ready)
             b->res.ok = false;
             continue;
         }
-        by_dev[dev].push_back(v);
+        by_dev[dev].push_back(t);
     }
     for (unsigned dev = 0; dev < ports.size(); ++dev) {
         if (by_dev[dev].empty())
@@ -455,9 +392,10 @@ GnnEngine::seedMulti(const std::shared_ptr<Batch> &b, sim::Tick ready)
         ports[dev].queue->scheduleAt(
             ready, [this, b, dev, mine = std::move(by_dev[dev])] {
                 sim::Tick now = homeQueue(dev).now();
-                for (const auto &v : mine) {
-                    flash::GnnSampleParams p = targetParams(*b, v.node);
-                    p.parentSlot = v.parent;
+                for (graph::NodeId t : mine) {
+                    // Targets enter at the frontend controller; their
+                    // first hop is always a crossbar traversal.
+                    flash::GnnSampleParams p = targetParams(*b, t);
                     streamCommand(
                         b, p, now,
                         ports[dev].backend->codec().channelOf(p.ppa),
@@ -470,8 +408,6 @@ GnnEngine::seedMulti(const std::shared_ptr<Batch> &b, sim::Tick ready)
 std::size_t
 GnnEngine::deliverInbound(unsigned dev)
 {
-    if (!mailbox)
-        return 0;
     std::vector<CrossMsg> msgs = mailbox->drain(dev);
     if (msgs.empty())
         return 0;
@@ -512,7 +448,6 @@ GnnEngine::completePrepared()
         sim::Tick finish = b->readyAt;
         for (const Batch::Lane &l : b->lanes)
             finish = std::max(finish, l.finishMax);
-        b->finished = true;
         b->res.finish = finish;
         if (trace) {
             trace->complete("batch", "batch", flash::kTraceEnginePid,
@@ -543,13 +478,14 @@ GnnEngine::mergeLanes(Batch &b)
         for (std::size_t h = 0;
              h < b.res.hops.size() && h < l.hops.size(); ++h)
             b.res.hops[h].cover(l.hops[h].first, l.hops[h].last);
-        for (const Batch::Lane::Entry &e : l.frag)
+        for (const gnn::SubgraphEntry &e : l.frag)
             max_hop = std::max<unsigned>(max_hop, e.hop);
     }
     // Subgraph merge in hop-major (hop, device, lane order): a child's
     // parent always sits at a strictly lower hop, so its global slot
     // exists before the child is added — and the order is a pure
     // function of the per-device fragments, hence worker-invariant.
+    const std::uint32_t mask = slotMask(slotShift);
     std::vector<std::vector<gnn::Slot>> global_of(ndev);
     for (std::size_t d = 0; d < ndev; ++d)
         global_of[d].assign(b.lanes[d].frag.size(), gnn::kNoParent);
@@ -557,13 +493,13 @@ GnnEngine::mergeLanes(Batch &b)
         for (std::size_t d = 0; d < ndev; ++d) {
             const Batch::Lane &l = b.lanes[d];
             for (std::size_t i = 0; i < l.frag.size(); ++i) {
-                const Batch::Lane::Entry &e = l.frag[i];
+                const gnn::SubgraphEntry &e = l.frag[i];
                 if (e.hop != hop)
                     continue;
                 gnn::Slot parent = gnn::kNoParent;
                 if (e.parent != gnn::kNoParent) {
-                    unsigned pd = packedDev(e.parent);
-                    std::uint32_t pl = packedLocal(e.parent);
+                    unsigned pd = packedDev(slotShift, e.parent);
+                    std::uint32_t pl = e.parent & mask;
                     if (pd >= ndev || pl >= global_of[pd].size() ||
                         global_of[pd][pl] == gnn::kNoParent)
                         sim::fatal("GnnEngine: dangling parent slot "
@@ -577,12 +513,25 @@ GnnEngine::mergeLanes(Batch &b)
     }
 }
 
+gnn::Slot
+GnnEngine::addEntry(Batch &b, unsigned dev, graph::NodeId node,
+                    std::uint8_t hop, gnn::Slot parent)
+{
+    Batch::Lane &lane = b.lanes[dev];
+    if (lane.frag.size() >= slotMask(slotShift))
+        sim::fatal("GnnEngine: device subgraph fragment overflows "
+                   "the packed slot space");
+    lane.frag.push_back({node, hop, parent});
+    return packSlot(slotShift, dev,
+                    static_cast<gnn::Slot>(lane.frag.size() - 1));
+}
+
 void
 GnnEngine::setTraceSink(sim::TraceSink *sink)
 {
     trace = sink;
     laneShards.clear();
-    if (trace && multiDevice()) {
+    if (trace && ports.size() > 1) {
         // Worker threads must never share a sink: each device records
         // into its own shard, absorbed in device order afterwards.
         laneShards.resize(ports.size());
@@ -608,8 +557,7 @@ void
 GnnEngine::setValidator(sim::Validator *v)
 {
     validator = v;
-    if (mailbox)
-        mailbox->setValidator(v);
+    mailbox->setValidator(v);
 }
 
 void
@@ -643,24 +591,6 @@ GnnEngine::publishMetrics(sim::MetricRegistry &reg) const
             fallbacks += f;
         reg.counter("engine.router.replica_fallbacks").add(fallbacks);
     }
-}
-
-void
-GnnEngine::finishBatch(const std::shared_ptr<Batch> &b, sim::Tick when)
-{
-    if (b->finished)
-        return;
-    b->finished = true;
-    b->res.finish = when;
-    if (trace) {
-        trace->complete("batch", "batch", flash::kTraceEnginePid,
-                        static_cast<std::uint32_t>(b->id), b->res.start,
-                        when);
-    }
-    queue.scheduleAt(when, [b] {
-        if (b->done)
-            b->done(std::move(b->res));
-    });
 }
 
 sim::Tick
@@ -733,25 +663,6 @@ GnnEngine::targetParams(const Batch &b, graph::NodeId node) const
 }
 
 void
-GnnEngine::startStreaming(std::shared_ptr<Batch> b)
-{
-    sim::Tick now = queue.now();
-    auto visits = std::move(b->nextVisits);
-    b->nextVisits.clear();
-    b->outstanding += visits.size();
-    for (const auto &v : visits) {
-        // Targets are injected by the host interface at the frontend
-        // controller; their first hop is always a crossbar traversal.
-        flash::GnnSampleParams p = targetParams(*b, v.node);
-        p.parentSlot = v.parent;
-        streamCommand(b, p, now,
-                      ports[0].backend->codec().channelOf(p.ppa), 0);
-    }
-    if (visits.empty())
-        finishBatch(b, now);
-}
-
-void
 GnnEngine::streamCommand(const std::shared_ptr<Batch> &b,
                          flash::GnnSampleParams params, sim::Tick ready,
                          unsigned from_channel, unsigned dev)
@@ -768,140 +679,45 @@ GnnEngine::streamCommand(const std::shared_ptr<Batch> &b,
     DieSampler &sampler = *port.sampler;
     CommandRouter *router = port.router;
     const auto &flash_cfg = backend.config();
-    sim::Tick created = ready;
-
-    // Multi-device runs write all mutable batch state into this
-    // device's lane (merged in device order afterwards); the
-    // single-device path keeps writing the result directly — the
-    // historical byte-exact behaviour.
-    const bool multi = multiDevice();
-    Batch::Lane *lane = multi ? &b->lanes[dev] : nullptr;
-    CmdStats &cmd_stats = multi ? lane->cmdStats : b->res.cmdStats;
-    PrepTally &tally = multi ? lane->tally : b->res.tally;
-    std::vector<HopSpan> &hops = multi ? lane->hops : b->res.hops;
-    sim::Tick &finish_max = multi ? lane->finishMax : b->finishMax;
+    const sim::Tick created = ready;
+    Batch::Lane &lane = b->lanes[dev];
     sim::TraceSink *tr = laneTrace(dev);
-    auto add_entry = [&](std::uint64_t node, std::uint8_t hop,
-                         gnn::Slot parent) -> gnn::Slot {
-        if (!multi) {
-            return b->res.subgraph.add(static_cast<graph::NodeId>(node),
-                                       hop, parent);
-        }
-        if (lane->frag.size() >= kSlotMask)
-            sim::fatal("GnnEngine: device subgraph fragment overflows "
-                       "the packed slot space");
-        lane->frag.push_back({static_cast<graph::NodeId>(node), hop,
-                              parent});
-        return packSlot(dev,
-                        static_cast<gnn::Slot>(lane->frag.size() - 1));
-    };
+    const dg::DgAddress self_addr(params.ppa, params.sectionIndex);
 
-    // ---- Batch-level node deduplication (extension) -----------------
-    // A primary section already fetched this batch is re-served from
-    // SSD DRAM: the sampler logic still runs (different draws per
-    // instance), but no flash read is issued.
-    dg::DgAddress self_addr(params.ppa, params.sectionIndex);
+    // ---- DRAM re-serve: batch dedupe, then the cache tier -----------
+    // A primary section this device already fetched this batch
+    // (dedupe, an extension beyond the paper) or one resident in its
+    // vertex cache (DESIGN.md §14) is served on the short DRAM path:
+    // the sampler logic still runs (fresh draws per instance), but no
+    // flash sense is issued. Cache misses fall through to the sense
+    // path below and fill the cache once the frame parses. Both maps
+    // are per device and touched only from its event lane.
+    std::optional<sim::Tick> in_dram;
+    bool deduped = false;
     if (_flags.dedupeNodes && !params.isSecondary) {
-        auto &fetched = b->fetched[dev];
-        auto it = fetched.find(self_addr.raw);
-        if (it != fetched.end()) {
-            auto section = source.fetch(self_addr);
-            flash::GnnSampleResult result =
-                sampler.execute(section, params);
-            sim::Tick avail = std::max(ready, it->second);
-            sim::Grant mem = fw.dram().acquire(
-                avail, result.frameBytes());
-            sim::Tick parsed = mem.end;
-            if (multi)
-                ++lane->dedupedReads;
-            else
-                ++b->res.dedupedReads;
-            if (result.featureIncluded) {
-                tally.featureBytes += result.featureBytes;
-                b->res.perDevice[dev].featureBytes += result.featureBytes;
-            }
-            gnn::Slot parent = params.parentSlot;
-            if (result.ok) {
-                parent = add_entry(result.nodeId, params.hop,
-                                   params.parentSlot);
-            }
-            if (!multi)
-                b->outstanding += result.follow.size();
-            unsigned ch = backend.codec().channelOf(params.ppa);
-            for (auto &f : result.follow) {
-                f.params.parentSlot = parent;
-                scheduleChild(b, f.params, parsed, ch, dev);
-            }
-            unsigned span = std::min<unsigned>(params.hop, model.hops);
-            if (params.finalHop)
-                span = model.hops;
-            hops[span].cover(created, parsed);
-            finish_max = std::max(finish_max, parsed);
-            if (!multi && --b->outstanding == 0) {
-                b->res.routerStats = routerTotals();
-                finishBatch(b, b->finishMax);
-            }
-            return;
+        auto it = lane.fetched.find(self_addr.raw);
+        if (it != lane.fetched.end()) {
+            in_dram = it->second;
+            deduped = true;
         }
     }
-
-    // ---- Device-DRAM cache tier (DESIGN.md §14) ---------------------
-    // A section resident in this device's vertex cache is served on
-    // the short DRAM path: the sampler logic still runs (fresh draws
-    // per instance, exactly like the dedupe path above), but no flash
-    // sense is issued at all. Misses fall through to the sense path
-    // below and fill the cache once the frame parses. The cache is
-    // per device and touched only from its event lane, so array runs
-    // stay byte-identical for any worker count.
-    if (port.cache) {
-        if (std::optional<sim::Tick> filled =
-                port.cache->lookup(self_addr.raw)) {
-            auto section = source.fetch(self_addr);
-            flash::GnnSampleResult result =
-                sampler.execute(section, params);
-            sim::Tick avail = std::max(ready, *filled);
-            sim::Grant mem =
-                fw.dram().acquire(avail, result.frameBytes());
-            sim::Tick parsed = mem.end;
-            tally.dramBytes += result.frameBytes();
-            if (result.featureIncluded) {
-                tally.featureBytes += result.featureBytes;
-                b->res.perDevice[dev].featureBytes += result.featureBytes;
-            }
-            gnn::Slot parent = params.parentSlot;
-            if (!params.isSecondary && result.ok) {
-                parent = add_entry(result.nodeId, params.hop,
-                                   params.parentSlot);
-            }
-            if (!result.ok) {
-                ++tally.abortedCommands;
-                if (multi)
-                    lane->ok = false;
-                else
-                    b->res.ok = false;
-            }
-            if (!multi)
-                b->outstanding += result.follow.size();
-            unsigned ch = backend.codec().channelOf(params.ppa);
-            for (auto &f : result.follow) {
-                f.params.parentSlot = parent;
-                scheduleChild(b, f.params, parsed, ch, dev);
-            }
-            unsigned span = std::min<unsigned>(params.hop, model.hops);
-            if (params.finalHop)
-                span = model.hops;
-            hops[span].cover(created, parsed);
-            if (tr)
-                tr->complete("cache-hit", "cache",
-                             port.tracePidBase + flash::kTraceDramPid,
-                             0, created, parsed);
-            finish_max = std::max(finish_max, parsed);
-            if (!multi && --b->outstanding == 0) {
-                b->res.routerStats = routerTotals();
-                finishBatch(b, b->finishMax);
-            }
-            return;
+    if (!in_dram && port.cache)
+        in_dram = port.cache->lookup(self_addr.raw);
+    if (in_dram) {
+        flash::GnnSampleResult result =
+            sampler.execute(source.fetch(self_addr), params);
+        sim::Grant mem = fw.dram().acquire(std::max(ready, *in_dram),
+                                           result.frameBytes());
+        lane.tally.dramBytes += result.frameBytes();
+        if (deduped) {
+            ++lane.dedupedReads;
+        } else if (tr) {
+            tr->complete("cache-hit", "cache",
+                         port.tracePidBase + flash::kTraceDramPid, 0,
+                         created, mem.end);
         }
+        completeCommand(b, params, result, created, mem.end, dev);
+        return;
     }
 
     // Nestable async lifetime span per command (Perfetto: one slice
@@ -930,9 +746,8 @@ GnnEngine::streamCommand(const std::shared_ptr<Batch> &b,
                      span_id, dispatched);
 
     // ---- Functional sampling ---------------------------------------
-    dg::DgAddress addr(params.ppa, params.sectionIndex);
-    auto section = source.fetch(addr);
-    flash::GnnSampleResult result = sampler.execute(section, params);
+    flash::GnnSampleResult result =
+        sampler.execute(source.fetch(self_addr), params);
 
     bool die_sampling = _flags.sampling == SamplingLoc::Die;
     std::uint32_t transfer_bytes =
@@ -942,37 +757,23 @@ GnnEngine::streamCommand(const std::shared_ptr<Batch> &b,
     // ---- Flash operation --------------------------------------------
     flash::FlashOpTiming t =
         backend.read(dispatched, params.ppa, transfer_bytes, on_die);
+    ++lane.commands;
+    ++b->res.perDevice[dev].commands;
     if (t.failed) {
         // The die was killed before the sense completed: the command
         // aborts at failure-detection time. No frame parses, no page
         // crosses the channel (the backend counted the failed read)
         // and no children spawn.
-        const sim::Tick failed_at = t.xferEnd;
         if (tr)
-            tr->endAsync("cmd", "cmd", span_id, failed_at);
-        ++tally.abortedCommands;
-        if (multi) {
-            lane->ok = false;
-            ++lane->commands;
-        } else {
-            b->res.ok = false;
-            ++b->res.commands;
-        }
-        ++b->res.perDevice[dev].commands;
-        unsigned fspan = std::min<unsigned>(params.hop, model.hops);
-        if (params.finalHop)
-            fspan = model.hops;
-        hops[fspan].cover(created, failed_at);
-        finish_max = std::max(finish_max, failed_at);
-        if (!multi && --b->outstanding == 0) {
-            b->res.routerStats = routerTotals();
-            finishBatch(b, b->finishMax);
-        }
+            tr->endAsync("cmd", "cmd", span_id, t.xferEnd);
+        flash::GnnSampleResult lost;
+        lost.ok = false;
+        completeCommand(b, params, lost, created, t.xferEnd, dev);
         return;
     }
-    ++tally.flashReads;
+    ++lane.tally.flashReads;
     ++b->res.perDevice[dev].flashReads;
-    tally.channelBytes += transfer_bytes;
+    lane.tally.channelBytes += transfer_bytes;
     if (_flags.hwRouter)
         router->bindCompletion(params.ppa, t.xferEnd);
     if (tr) {
@@ -994,8 +795,8 @@ GnnEngine::streamCommand(const std::shared_ptr<Batch> &b,
             // wall of Fig. 18d.
             sim::Grant mem =
                 fw.dram().acquire(parsed, result.featureBytes);
-            tally.dramBytes += result.featureBytes;
-            finish_max = std::max(finish_max, mem.end);
+            lane.tally.dramBytes += result.featureBytes;
+            lane.finishMax = std::max(lane.finishMax, mem.end);
             if (tr)
                 tr->complete("feature-dma", "dram",
                              port.tracePidBase + flash::kTraceDramPid,
@@ -1004,13 +805,13 @@ GnnEngine::streamCommand(const std::shared_ptr<Batch> &b,
     } else if (die_sampling) {
         // BG-DGSP: frames land in DRAM, a core parses each.
         sim::Grant mem = fw.dram().acquire(t.xferEnd, transfer_bytes);
-        tally.dramBytes += transfer_bytes;
+        lane.tally.dramBytes += transfer_bytes;
         parsed = fw.coreComplete(mem.end).end;
     } else {
         // BG-DG: full page to DRAM, core parses and samples in
         // firmware (same two-level DirectGraph discipline).
         sim::Grant mem = fw.dram().acquire(t.xferEnd, transfer_bytes);
-        tally.dramBytes += transfer_bytes;
+        lane.tally.dramBytes += transfer_bytes;
         parsed = fw.coreComplete(mem.end,
                                  fw.config().controller.coreSampleTime)
                      .end;
@@ -1020,21 +821,13 @@ GnnEngine::streamCommand(const std::shared_ptr<Batch> &b,
         tr->endAsync("consume", "cmd", span_id, parsed);
         tr->endAsync("cmd", "cmd", span_id, parsed);
     }
-    if (result.featureIncluded) {
-        tally.featureBytes += result.featureBytes;
-        b->res.perDevice[dev].featureBytes += result.featureBytes;
-    }
     if (_flags.dedupeNodes && !params.isSecondary)
-        b->fetched[dev].emplace(self_addr.raw, parsed);
+        lane.fetched.emplace(self_addr.raw, parsed);
     if (port.cache)
         port.cache->fill(self_addr.raw, parsed);
 
-    // ---- Bookkeeping ---------------------------------------------------
-    if (multi)
-        ++lane->commands;
-    else
-        ++b->res.commands;
-    ++b->res.perDevice[dev].commands;
+    // ---- Command statistics --------------------------------------------
+    CmdStats &cmd_stats = lane.cmdStats;
     sim::Tick wait_before = t.senseStart - created;
     sim::Tick flash_time =
         (t.senseEnd - t.senseStart) + (t.xferEnd - t.xferStart);
@@ -1054,41 +847,43 @@ GnnEngine::streamCommand(const std::shared_ptr<Batch> &b,
                            ? lat_us
                            : 0.875 * dh.latencyEwmaUs + 0.125 * lat_us;
     ++dh.samples;
-    unsigned span = std::min<unsigned>(params.hop, model.hops);
-    if (params.finalHop)
-        span = model.hops;
-    hops[span].cover(created, parsed);
 
-    if (!result.ok) {
-        ++tally.abortedCommands;
-        if (multi)
-            lane->ok = false;
-        else
-            b->res.ok = false;
+    completeCommand(b, params, result, created, parsed, dev);
+}
+
+void
+GnnEngine::completeCommand(const std::shared_ptr<Batch> &b,
+                           const flash::GnnSampleParams &params,
+                           const flash::GnnSampleResult &result,
+                           sim::Tick created, sim::Tick done, unsigned dev)
+{
+    Batch::Lane &lane = b->lanes[dev];
+    if (result.featureIncluded) {
+        lane.tally.featureBytes += result.featureBytes;
+        b->res.perDevice[dev].featureBytes += result.featureBytes;
     }
-
     // ---- Subgraph + children ------------------------------------------
-    gnn::Slot parent_for_children;
-    if (!params.isSecondary && result.ok) {
-        parent_for_children =
-            add_entry(result.nodeId, params.hop, params.parentSlot);
-    } else {
-        parent_for_children = params.parentSlot;
+    gnn::Slot parent = params.parentSlot;
+    if (!result.ok) {
+        ++lane.tally.abortedCommands;
+        lane.ok = false;
+    } else if (!params.isSecondary) {
+        parent = addEntry(*b, dev,
+                          static_cast<graph::NodeId>(result.nodeId),
+                          params.hop, params.parentSlot);
     }
-
-    if (!multi)
-        b->outstanding += result.follow.size();
-    unsigned this_channel = backend.codec().channelOf(params.ppa);
-    for (auto &f : result.follow) {
-        f.params.parentSlot = parent_for_children;
-        scheduleChild(b, f.params, parsed, this_channel, dev);
+    const unsigned channel =
+        ports[dev].backend->codec().channelOf(params.ppa);
+    for (const flash::EmittedCommand &f : result.follow) {
+        flash::GnnSampleParams child = f.params;
+        child.parentSlot = parent;
+        scheduleChild(b, child, done, channel, dev);
     }
-
-    finish_max = std::max(finish_max, parsed);
-    if (!multi && --b->outstanding == 0) {
-        b->res.routerStats = routerTotals();
-        finishBatch(b, b->finishMax);
-    }
+    const unsigned span = params.finalHop
+                              ? model.hops
+                              : std::min<unsigned>(params.hop, model.hops);
+    lane.hops[span].cover(created, done);
+    lane.finishMax = std::max(lane.finishMax, done);
 }
 
 void
@@ -1103,6 +898,7 @@ GnnEngine::scheduleChild(const std::shared_ptr<Batch> &b,
         // replication the child goes to the least-loaded healthy
         // replica (this lane's own routed table), which may well be
         // this device — replication cuts cross-device traffic too.
+        // One device has no other replica, so its children stay home.
         if (auto sp = layout.find(
                 dg::DgAddress(child.ppa, child.sectionIndex))) {
             std::uint64_t fb = 0;
@@ -1123,7 +919,7 @@ GnnEngine::scheduleChild(const std::shared_ptr<Batch> &b,
     }
     if (child_dev == dev) {
         // Same-device follow-up: the device schedules onto its own
-        // local clock (the engine's shared queue on a single device).
+        // local clock.
         homeQueue(dev).scheduleAt(
             parsed, [this, b, child, this_channel, dev] {
                 streamCommand(b, child, homeQueue(dev).now(),
@@ -1159,12 +955,6 @@ GnnEngine::scheduleChild(const std::shared_ptr<Batch> &b,
 // feature-table page read. Hops are separated by host-SSD round trips.
 // ====================================================================
 
-void
-GnnEngine::startBarrier(std::shared_ptr<Batch> b)
-{
-    runHop(b, 0, queue.now());
-}
-
 namespace {
 
 /**
@@ -1198,7 +988,8 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
                   sim::Tick hop_start)
 {
     // The barrier pipeline is single-device (the constructor rejects
-    // multi-device non-streaming platforms), so port 0 is the SSD.
+    // multi-device non-streaming platforms), so port 0 is the SSD and
+    // lane 0 holds the batch state.
     flash::FlashBackend &backend = *ports[0].backend;
     ssd::Firmware &fw = *ports[0].fw;
     DieSampler &sampler = *ports[0].sampler;
@@ -1209,13 +1000,13 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
     const bool die_sampling = _flags.sampling == SamplingLoc::Die;
     const bool host_sampling = _flags.sampling == SamplingLoc::Host;
     const bool final_hop = hop >= model.hops;
+    Batch::Lane &lane = b->lanes[0];
+    DeviceTally &dev_tally = b->res.perDevice[0];
 
     auto visits = std::move(b->nextVisits);
     b->nextVisits.clear();
-    if (visits.empty()) {
-        finishBatch(b, hop_start);
-        return;
-    }
+    if (visits.empty())
+        return; // No targets: the batch finishes when it was ready.
 
     // Every read of the hop is computed analytically; the hop barrier
     // is the maximum parse-complete time across them.
@@ -1227,7 +1018,8 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
      * core, then optionally the host path (software-stack service and
      * PCIe transfer). Records Fig. 16/17 statistics.
      */
-    auto do_read = [this, &ctl, &host, &fw, &backend, b, hop](
+    auto do_read = [this, &ctl, &host, &fw, &backend, &lane, &dev_tally,
+                    hop](
                        sim::Tick ready, flash::Ppa ppa,
                        std::uint32_t bytes, sim::Tick on_die,
                        sim::Tick core_extra, bool to_host,
@@ -1243,7 +1035,7 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
         if (to_host) {
             // Host software stack issues the block I/O.
             sim::Grant io = fw.hostIoService(ready);
-            b->res.tally.hostCpuBusy += host.ioOverhead;
+            lane.tally.hostCpuBusy += host.ioOverhead;
             ready = io.end;
         }
         sim::Tick dispatched =
@@ -1270,9 +1062,9 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
         } else {
             flash::FlashOpTiming t =
                 backend.read(dispatched, ppa, bytes, on_die);
-            ++b->res.tally.flashReads;
-            ++b->res.perDevice[0].flashReads;
-            b->res.tally.channelBytes += bytes;
+            ++lane.tally.flashReads;
+            ++dev_tally.flashReads;
+            lane.tally.channelBytes += bytes;
             sense_start = t.senseStart;
             xfer_end = t.xferEnd;
             flash_time =
@@ -1285,13 +1077,13 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
             }
         }
         sim::Grant mem = fw.dram().acquire(xfer_end, bytes);
-        b->res.tally.dramBytes += bytes;
+        lane.tally.dramBytes += bytes;
         sim::Tick parsed = fw.coreComplete(mem.end, core_extra).end;
         if (cacheable && !filled)
             vc->fill(ppa, parsed);
         if (to_host && pcie_bytes > 0) {
             sim::Grant link = fw.pcie().acquire(parsed, pcie_bytes);
-            b->res.tally.pcieBytes += pcie_bytes;
+            lane.tally.pcieBytes += pcie_bytes;
             parsed = link.end;
         }
         if (trace) {
@@ -1304,16 +1096,16 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
             trace->endAsync("consume", "cmd", span_id, parsed);
             trace->endAsync("cmd", "cmd", span_id, parsed);
         }
-        ++b->res.commands;
-        ++b->res.perDevice[0].commands;
+        ++lane.commands;
+        ++dev_tally.commands;
         sim::Tick wait_before = sense_start - created;
-        b->res.cmdStats.waitBefore.add(sim::toMicros(wait_before));
-        b->res.cmdStats.flashTime.add(sim::toMicros(flash_time));
-        b->res.cmdStats.waitAfter.add(
+        lane.cmdStats.waitBefore.add(sim::toMicros(wait_before));
+        lane.cmdStats.flashTime.add(sim::toMicros(flash_time));
+        lane.cmdStats.waitAfter.add(
             sim::toMicros(parsed - created - wait_before - flash_time));
-        b->res.cmdStats.lifetime.add(sim::toMicros(parsed - created));
-        b->res.cmdStats.lifetimeHist.add(sim::toMicros(parsed - created));
-        b->res.hops[std::min<unsigned>(hop, model.hops)].cover(created,
+        lane.cmdStats.lifetime.add(sim::toMicros(parsed - created));
+        lane.cmdStats.lifetimeHist.add(sim::toMicros(parsed - created));
+        lane.hops[std::min<unsigned>(hop, model.hops)].cover(created,
                                                                parsed);
         return parsed;
     };
@@ -1332,8 +1124,9 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
     for (const auto &v : visits) {
         const dg::NodeLayout &nl = layout.nodes[v.node];
         dg::DgAddress primary = nl.primary;
-        gnn::Slot slot = b->res.subgraph.add(
-            v.node, static_cast<std::uint8_t>(hop), v.parent);
+        gnn::Slot slot =
+            addEntry(*b, 0, v.node, static_cast<std::uint8_t>(hop),
+                     v.parent);
 
         // ---- Feature retrieval ---------------------------------------
         // BG-SP converts the dataset into its co-located in-SSD
@@ -1343,8 +1136,8 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
         // dedicated feature command. The conventional platforms keep
         // the feature table as a separate object (Table I) and read
         // one of its pages per visit.
-        b->res.tally.featureBytes += feat_bytes;
-        b->res.perDevice[0].featureBytes += feat_bytes;
+        lane.tally.featureBytes += feat_bytes;
+        dev_tally.featureBytes += feat_bytes;
         flash::Ppa fppa =
             featureTablePpa(flash_cfg, v.node, feat_bytes);
         if (die_sampling) {
@@ -1391,8 +1184,8 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
             auto section = source.fetch(primary);
             flash::GnnSampleResult r = sampler.execute(section, p);
             if (!r.ok) {
-                ++b->res.tally.abortedCommands;
-                b->res.ok = false;
+                ++lane.tally.abortedCommands;
+                lane.ok = false;
             }
             for (auto &f : r.follow) {
                 if (f.params.isSecondary) {
@@ -1477,8 +1270,8 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
             dg::DgAddress(pc.params.ppa, pc.params.sectionIndex));
         flash::GnnSampleResult cr = sampler.execute(csec, pc.params);
         if (!cr.ok) {
-            ++b->res.tally.abortedCommands;
-            b->res.ok = false;
+            ++lane.tally.abortedCommands;
+            lane.ok = false;
         }
         for (auto &f : cr.follow) {
             if (auto sp = layout.find(dg::DgAddress(
@@ -1492,26 +1285,25 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
         last = std::max(last, cparsed);
     }
 
-    if (final_hop || b->nextVisits.empty()) {
-        finishBatch(b, last);
+    lane.finishMax = std::max(lane.finishMax, last);
+    if (final_hop || b->nextVisits.empty())
         return;
-    }
 
     // Inter-hop host-SSD communication barrier (§III Challenge 1).
     std::size_t n_children = b->nextVisits.size();
     sim::Tick host_time = host.translatePerNode * n_children;
     if (host_sampling)
         host_time += host.samplePerNode * visits.size();
-    b->res.tally.hostCpuBusy += host_time;
+    lane.tally.hostCpuBusy += host_time;
     if (_flags.idsToHost) {
         sim::Grant link = fw.pcie().acquire(last, 4ull * n_children);
-        b->res.tally.pcieBytes += 4ull * n_children;
+        lane.tally.pcieBytes += 4ull * n_children;
         last = link.end;
     }
     sim::Tick next_start = last + host_time + host.nvmeRoundTrip;
     unsigned next_hop = hop + 1;
-    queue.scheduleAt(next_start, [this, b, next_hop] {
-        runHop(b, next_hop, queue.now());
+    homeQueue(0).scheduleAt(next_start, [this, b, next_hop] {
+        runHop(b, next_hop, homeQueue(0).now());
     });
 }
 

@@ -177,34 +177,32 @@ struct DeviceHealth
 
 /**
  * The engine. One instance per platform run; batches prepared
- * serially. The engine executes the same pipeline over one or many
- * devices: each command runs against the hardware of the device that
- * owns its node (per the fabric's partition table), and follow-up
- * commands whose child lives on another device cross that device's
- * P2P port as a small descriptor before continuing remotely. With a
- * single port the fabric degenerates and the behaviour is exactly the
- * historical single-SSD pipeline.
+ * serially. The engine executes one pipeline over one or many devices
+ * (DESIGN.md §13): a single SSD is simply an array of one. Each
+ * command runs against the hardware of the device that owns its node
+ * (per the fabric's partition table), and follow-up commands whose
+ * child lives on another device cross that device's P2P port as a
+ * small descriptor before continuing remotely.
  *
- * Multi-device execution model (DESIGN.md §13): every port carries its
- * own EventQueue (the device's local clock) and the engine keeps all
- * per-batch mutable state in per-device *lanes*, so a conservative
- * parallel driver (sim::ParallelSimulator) may run the device queues
- * on concurrent worker threads. Cross-device children never touch a
+ * Every port carries its own EventQueue (the device's local clock) and
+ * the engine keeps all per-batch mutable state in per-device *lanes*,
+ * so a conservative parallel driver (sim::ParallelSimulator) may run
+ * the device queues on concurrent worker threads; a one-device run
+ * simply drains its one queue. Cross-device children never touch a
  * foreign queue directly — they become timestamped messages in a
  * mutex-sharded mailbox, delivered by deliverInbound() at window
- * boundaries in a deterministically sorted order. After the driver
- * reaches quiescence, completePrepared() merges the lanes in fixed
- * device order, which makes the results byte-identical for every
- * worker count.
+ * boundaries in a deterministically sorted order. Once the queues
+ * drain, completePrepared() merges the lanes in fixed device order,
+ * which makes the results byte-identical for every worker count.
  */
 class GnnEngine
 {
   public:
     /**
-     * @param queue    Shared event queue.
-     * @param ports    Per-device hardware (size >= 1; borrowed). Multi-
-     *                 device topologies require a streaming
-     *                 (DirectGraph) platform.
+     * @param ports    Per-device hardware (size >= 1; borrowed), each
+     *                 with its own event queue. Multi-device
+     *                 topologies require a streaming (DirectGraph)
+     *                 platform.
      * @param layout   DirectGraph layout (physical placement; also
      *                 used as the page map for conventional-format
      *                 platforms — see DESIGN.md §3).
@@ -214,28 +212,19 @@ class GnnEngine
      * @param source   Section resolver (layout- or byte-backed).
      * @param fabric   Inter-device link parameters + ownership table.
      */
-    GnnEngine(sim::EventQueue &queue, std::vector<DevicePort> ports,
+    GnnEngine(std::vector<DevicePort> ports,
               const dg::DirectGraphLayout &layout,
               const graph::Graph &g, const gnn::ModelConfig &model,
               const PrepFlags &flags, const dg::SectionSource &source,
               const FabricConfig &fabric = {});
 
-    /**
-     * Single-device convenience: the engine builds (and owns) the die
-     * sampler and — when the flags ask for it — the channel router on
-     * @p backend / @p fw, exactly as a one-device DeviceContext would.
-     */
-    GnnEngine(sim::EventQueue &queue, flash::FlashBackend &backend,
-              ssd::Firmware &fw, const dg::DirectGraphLayout &layout,
-              const graph::Graph &g, const gnn::ModelConfig &model,
-              const PrepFlags &flags, const dg::SectionSource &source);
-
     ~GnnEngine();
 
     /**
-     * Prepare one mini-batch. Schedules events on the queue; @p done
-     * fires (at the finish time) with the result. Run the queue to
-     * completion (or to the finish) after calling.
+     * Prepare one mini-batch. Schedules events on the device queues;
+     * drain them (the queue of a one-device run, the parallel driver
+     * otherwise), then call completePrepared(), which invokes @p done
+     * with the result.
      */
     void prepare(sim::Tick start, std::uint64_t batch_id,
                  std::span<const graph::NodeId> targets,
@@ -253,11 +242,10 @@ class GnnEngine
     std::size_t deliverInbound(unsigned dev);
 
     /**
-     * Finish every in-flight multi-device batch after the parallel
-     * driver reached quiescence: merge the per-device lanes (fixed
-     * device order), stamp the finish time and invoke the done
-     * callbacks. The runner calls this right after
-     * sim::ParallelSimulator::run().
+     * Finish every in-flight batch once the device queues drained:
+     * merge the per-device lanes (fixed device order), stamp the
+     * finish time and invoke the done callbacks. Callers invoke this
+     * right after running the queue(s).
      */
     void completePrepared();
 
@@ -318,24 +306,28 @@ class GnnEngine
     /** One cross-device command in flight through the mailbox. */
     struct CrossMsg;
 
-    /** More than one device port? (Implies DirectGraph streaming.) */
-    bool multiDevice() const { return ports.size() > 1; }
-
-    /** Device @p dev's event queue: its own port queue on an array,
-     *  the engine's shared queue on the single-device path. */
-    sim::EventQueue &homeQueue(unsigned dev);
+    /** Device @p dev's own event queue (its local clock). */
+    sim::EventQueue &homeQueue(unsigned dev) { return *ports[dev].queue; }
 
     /** Trace sink device @p dev's events go to: its private shard on
      *  an array (worker threads must never share a sink), the real
-     *  sink otherwise. */
+     *  sink on one device. */
     sim::TraceSink *laneTrace(unsigned dev);
 
-    /** Seed a multi-device batch: group the targets by owning device
-     *  and schedule one injection event per device at @p ready. */
-    void seedMulti(const std::shared_ptr<Batch> &b, sim::Tick ready);
+    /** Seed a streaming batch: route every target to a healthy
+     *  replica of its node and schedule one injection event per
+     *  device at @p ready. */
+    void seedStreaming(const std::shared_ptr<Batch> &b,
+                       std::span<const graph::NodeId> targets,
+                       sim::Tick ready);
 
     /** Merge a finished batch's per-device lanes into its result. */
     void mergeLanes(Batch &b);
+
+    /** Append a subgraph entry to device @p dev's fragment and return
+     *  its packed (device, lane-local) slot. */
+    gnn::Slot addEntry(Batch &b, unsigned dev, graph::NodeId node,
+                       std::uint8_t hop, gnn::Slot parent);
 
     /** The first-hop command of target @p node (parentSlot unset). */
     flash::GnnSampleParams targetParams(const Batch &b,
@@ -347,11 +339,23 @@ class GnnEngine
      */
     sim::Tick broadcastConfig(sim::Tick start);
 
-    /** Out-of-order (DirectGraph) pipeline. */
-    void startStreaming(std::shared_ptr<Batch> b);
+    /** Out-of-order (DirectGraph) pipeline: obtain and time one
+     *  command's frame on device @p dev. */
     void streamCommand(const std::shared_ptr<Batch> &b,
                        flash::GnnSampleParams params, sim::Tick ready,
                        unsigned from_channel, unsigned dev);
+
+    /**
+     * The one completion tail of a streamed command whose frame was
+     * available at @p done (parsed, re-served from DRAM, or lost to a
+     * killed die — an empty not-ok @p result): feature tally, abort
+     * accounting or subgraph entry, children, hop span and lane
+     * finish time.
+     */
+    void completeCommand(const std::shared_ptr<Batch> &b,
+                         const flash::GnnSampleParams &params,
+                         const flash::GnnSampleResult &result,
+                         sim::Tick created, sim::Tick done, unsigned dev);
 
     /** Schedule a follow-up command at @p parsed: locally on @p dev,
      *  or — when its node lives elsewhere — across the P2P fabric. */
@@ -389,19 +393,10 @@ class GnnEngine
     /** Router statistics summed over every port (peak queue = max). */
     DispatchStats routerTotals() const;
 
-    /** Hop-by-hop (barrier) pipeline. */
-    void startBarrier(std::shared_ptr<Batch> b);
+    /** Hop-by-hop (barrier) pipeline (one device; writes lane 0). */
     void runHop(const std::shared_ptr<Batch> &b, unsigned hop,
                 sim::Tick hop_start);
 
-    void finishBatch(const std::shared_ptr<Batch> &b, sim::Tick when);
-
-    sim::EventQueue &queue;
-    /** Components built by the single-device convenience constructor
-     *  (empty when the caller supplies the ports). Declared before
-     *  `ports` so the port can reference them during construction. */
-    std::unique_ptr<DieSampler> ownedSampler;
-    std::unique_ptr<CommandRouter> ownedRouter;
     /** Per-device hardware (size >= 1; all components borrowed). */
     std::vector<DevicePort> ports;
     const dg::DirectGraphLayout &layout;
@@ -410,7 +405,12 @@ class GnnEngine
     PrepFlags _flags;
     const dg::SectionSource &source;
     FabricConfig fabric;
-    /** Cross-device command mailbox (multi-device; else null). */
+    /** Packed subgraph slots: a command's parentSlot names an entry
+     *  globally as (device << slotShift) | lane-local index. The
+     *  device field is just wide enough for the device count (none on
+     *  one device), so device 0's packing is the identity. */
+    unsigned slotShift = 32;
+    /** Cross-device command mailbox (one shard per device). */
     std::unique_ptr<sim::Mailbox<CrossMsg>> mailbox;
     /** Per-source-device message sequence numbers: the deterministic
      *  tie-break of the mailbox sort. Each entry is touched only by
@@ -424,8 +424,9 @@ class GnnEngine
      *  laneRouted[src][dst] is touched only by src's worker thread. */
     std::vector<std::vector<std::uint64_t>> laneRouted; // bgnlint:lane-owned
     std::vector<std::uint64_t> laneFallbacks; // bgnlint:lane-owned
-    /** Host-side routing table for batch-target seeding (seedMulti
-     *  runs on the prep thread before the driver starts). */
+    /** Host-side routing table for batch-target seeding
+     *  (seedStreaming runs on the prep thread before the driver
+     *  starts). */
     std::vector<std::uint64_t> hostRouted;
     std::uint64_t hostFallbacks = 0;
     /** Per-device observed-latency EWMA (array.devD.health.*): each
@@ -434,7 +435,7 @@ class GnnEngine
     std::vector<DeviceHealth> laneHealth; // bgnlint:lane-owned
     /** Checked-build hooks (DESIGN.md §16); unused when off. */
     sim::Validator *validator = nullptr;
-    /** Multi-device batches awaiting completePrepared(). */
+    /** Batches awaiting completePrepared(). */
     std::vector<std::shared_ptr<Batch>> inFlight;
     /** Completion time of the one-time GNN config broadcast. */
     sim::Tick configDone = 0;

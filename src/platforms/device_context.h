@@ -3,10 +3,11 @@
  * DeviceContext: one SSD of the platform, fully wired — flash backend,
  * firmware frontend, optional channel-level command router, die-level
  * sampler bank, compute accelerator with its bus, and (on arrays) an
- * outbound P2P port. The single-device runner and the scale-out array
- * both build their hardware from this one class, so there is exactly
- * one place that knows how a BeaconGNN SSD is assembled and which
- * metric names its components publish.
+ * outbound P2P port. The platform runner (one SSD or an array), the
+ * BeaconGnnSystem facade and the engine tests all build their hardware
+ * from this one class, so there is exactly one place that knows how a
+ * BeaconGNN SSD is assembled and which metric names its components
+ * publish.
  */
 
 #ifndef BEACONGNN_PLATFORMS_DEVICE_CONTEXT_H

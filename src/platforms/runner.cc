@@ -1,7 +1,10 @@
 #include "platforms/runner.h"
 
 #include <algorithm>
+#include <charconv>
+#include <climits>
 #include <string>
+#include <string_view>
 
 #include "gnn/compute.h"
 #include "platforms/device_context.h"
@@ -50,6 +53,63 @@ makeBundle(const graph::WorkloadSpec &spec,
     b.layout = dg::buildLayout(b.graph, b.features, flash_cfg, reserved);
     b.source = std::make_unique<dg::LayoutSource>(b.layout, b.graph);
     return bundle;
+}
+
+namespace {
+
+/** Parse all of @p s as an unsigned decimal: no sign, no blanks, no
+ *  overflow of @p out's type. */
+template <typename T>
+bool
+parseUnsigned(std::string_view s, T &out)
+{
+    const char *last = s.data() + s.size();
+    auto [ptr, ec] = std::from_chars(s.data(), last, out);
+    return !s.empty() && ec == std::errc() && ptr == last;
+}
+
+} // namespace
+
+std::optional<KillEvent>
+parseKillEvent(const std::string &spec)
+{
+    const std::size_t at = spec.find('@');
+    if (at == std::string::npos)
+        return std::nullopt;
+    const std::string_view target = std::string_view(spec).substr(0, at);
+    const std::string_view when = std::string_view(spec).substr(at + 1);
+    const std::size_t dot = target.find('.');
+    KillEvent k;
+    if (!parseUnsigned(target.substr(0, dot), k.device))
+        return std::nullopt;
+    if (dot != std::string_view::npos) {
+        unsigned die = 0;
+        if (!parseUnsigned(target.substr(dot + 1), die) || die > INT_MAX)
+            return std::nullopt;
+        k.die = static_cast<int>(die);
+    }
+    std::uint64_t us = 0;
+    if (!parseUnsigned(when, us) ||
+        us > sim::kTickMax / sim::microseconds(1))
+        return std::nullopt;
+    k.at = sim::microseconds(us);
+    return k;
+}
+
+std::vector<std::string>
+splitList(const std::string &csv)
+{
+    std::vector<std::string> out;
+    std::size_t pos = 0;
+    while (pos <= csv.size()) {
+        std::size_t comma = csv.find(',', pos);
+        if (comma == std::string::npos)
+            comma = csv.size();
+        if (comma > pos)
+            out.push_back(csv.substr(pos, comma - pos));
+        pos = comma + 1;
+    }
+    return out;
 }
 
 /** The component tree of one open platform run. */
@@ -160,8 +220,8 @@ struct PlatformSession::Impl
         if (!run.kills.empty())
             fabric.deviceKillAt = &deviceKillAt;
         engine = std::make_unique<engines::GnnEngine>(
-            devices[0]->queue(), std::move(ports), b.layout, b.graph,
-            active, p.flags, *b.source, fabric);
+            std::move(ports), b.layout, b.graph, active, p.flags,
+            *b.source, fabric);
 
         if (topo.multi()) {
             std::vector<sim::SimStation> stations;
@@ -244,12 +304,12 @@ PlatformSession::runBatch(sim::Tick ready,
         // Conservative parallel run over the device queues; the
         // worker count (--jobs / BGN_JOBS) never changes the result.
         s.psim->run();
-        s.engine->completePrepared();
     } else {
-        // Single-device run path: device 0 is the only station and
-        // this thread is its lane. bgnlint:allow(BGN007)
+        // One device: its queue is the only station and this thread
+        // is its lane. bgnlint:allow(BGN007)
         s.devices[0]->queue().run();
     }
+    s.engine->completePrepared();
     if (!got)
         sim::panic("runBatch: prep did not complete");
     if (!pr.ok)

@@ -85,6 +85,17 @@ struct KillEvent
     sim::Tick at = 0;
 };
 
+/**
+ * Parse one kill spec: "DEV@US" (whole device) or "DEV.DIE@US" (one
+ * die), US in microseconds. Every field is a plain unsigned decimal:
+ * signs, blanks and values that overflow their field (including a
+ * time whose tick conversion wraps) are rejected. Empty on error.
+ */
+std::optional<KillEvent> parseKillEvent(const std::string &spec);
+
+/** Split a comma-separated list, dropping empty items. */
+std::vector<std::string> splitList(const std::string &csv);
+
 /** Run parameters. */
 struct RunConfig
 {

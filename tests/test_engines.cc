@@ -13,6 +13,7 @@
 #include "engines/die_sampler.h"
 #include "engines/gnn_engine.h"
 #include "graph/generator.h"
+#include "platforms/device_context.h"
 
 namespace {
 
@@ -250,30 +251,24 @@ TEST(DieSampler, RecursiveExpansionMatchesGoldenSampler)
 
 struct EngineRig : Rig
 {
-    sim::EventQueue queue;
-    std::unique_ptr<flash::FlashBackend> backend;
-    std::unique_ptr<ssd::Firmware> fw;
-
-    EngineRig() : Rig(true)
-    {
-        backend = std::make_unique<flash::FlashBackend>(cfg.flash);
-        fw = std::make_unique<ssd::Firmware>(cfg);
-    }
-
+    /** Prepare one batch on a fresh one-device platform. */
     PrepResult
     run(const PrepFlags &flags, const dg::SectionSource &src,
         std::vector<graph::NodeId> targets, std::uint64_t batch = 1)
     {
-        GnnEngine engine(queue, *backend, *fw, layout, g, model, flags,
-                         src);
+        platforms::PlatformConfig platform;
+        platform.flags = flags;
+        platforms::DeviceContext dev(platform, cfg, {}, model,
+                                     layout.blocks, 0, false);
+        GnnEngine engine({dev.port()}, layout, g, model, flags, src);
         PrepResult out;
         bool got = false;
-        engine.prepare(queue.now(), batch, targets,
-                       [&](PrepResult &&r) {
-                           out = std::move(r);
-                           got = true;
-                       });
-        queue.run();
+        engine.prepare(0, batch, targets, [&](PrepResult &&r) {
+            out = std::move(r);
+            got = true;
+        });
+        dev.queue().run();
+        engine.completePrepared();
         EXPECT_TRUE(got);
         return out;
     }

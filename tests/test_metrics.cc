@@ -3,8 +3,10 @@
  * MetricRegistry tests: instrument lifecycle (get-or-create, kind
  * collision, lookup), merge semantics per kind, the CmdStats /
  * PrepTally publish/fromRegistry round trip, snapshot export, the
- * Chrome-trace sink, and the golden test pinning RunResult-from-
- * registry to the pre-refactor values for a CC and a BG-2 run.
+ * Chrome-trace sink, the golden test pinning RunResult-from-
+ * registry to the pre-refactor values for a CC and a BG-2 run, and
+ * FNV-1a fingerprints of every output surface (metrics JSON, CSV row,
+ * Chrome trace) for both pipelines and a cached two-device array.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include <sstream>
 
 #include "platforms/platform.h"
+#include "platforms/report.h"
 #include "platforms/runner.h"
 #include "sim/metrics.h"
 #include "sim/trace_events.h"
@@ -534,6 +537,84 @@ TEST_F(MetricsGolden, TraceSinkRecordsCommandLifetimes)
     EXPECT_NE(json.find("\"name\": \"xfer\""), std::string::npos);
     EXPECT_NE(json.find("\"name\": \"batch\""), std::string::npos);
     EXPECT_NE(json.find("\"name\": \"route\""), std::string::npos);
+}
+
+/** FNV-1a-64 of @p s: a compact byte-exact fingerprint. */
+std::uint64_t
+fnv1a64(const std::string &s)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/** Fingerprints of one run's three output surfaces. */
+struct OutputHashes
+{
+    std::uint64_t metricsJson;
+    std::uint64_t csvRow;
+    std::uint64_t trace;
+};
+
+TEST_F(MetricsGolden, OutputFingerprintsAreByteIdentical)
+{
+    // Byte-exact fingerprints of the metrics JSON, the CSV row and the
+    // Chrome trace: any change to event order, slot order, tallies or
+    // trace emission shows up here, on both pipelines and on an array.
+    auto hashes = [&](platforms::PlatformKind kind, unsigned devices,
+                      double cache_mb) {
+        platforms::RunConfig rc = run;
+        rc.topology.devices = devices;
+        rc.cache.capacityMB = cache_mb;
+        sim::TraceSink sink;
+        rc.traceSink = &sink;
+        MetricRegistry reg;
+        platforms::RunResult r = platforms::runPlatform(
+            platforms::makePlatform(kind), rc, *bundle, &reg);
+        std::ostringstream json, csv, trace;
+        reg.writeJson(json);
+        platforms::writeCsvRow(csv, r);
+        sink.write(trace);
+        return OutputHashes{fnv1a64(json.str()), fnv1a64(csv.str()),
+                            fnv1a64(trace.str())};
+    };
+    struct Case
+    {
+        platforms::PlatformKind kind;
+        unsigned devices;
+        double cacheMB;
+        OutputHashes want;
+    };
+    // Recorded from the build before the one-lane engine refactor.
+    using platforms::PlatformKind;
+    const Case cases[] = {
+        {PlatformKind::BG2, 1, 0.0,
+         {1065245032253645060ull, 6050931979510505401ull,
+          15070095969374196999ull}},
+        {PlatformKind::BG_DG, 1, 0.0,
+         {14451344959236931196ull, 1161242170762315202ull,
+          6220199263706560887ull}},
+        {PlatformKind::BG_SP, 1, 0.0,
+         {17694428741150162692ull, 6608954509745380460ull,
+          6317750401560569128ull}},
+        {PlatformKind::CC, 1, 0.0,
+         {12770422643387786379ull, 4124204018268900924ull,
+          8899054942433634799ull}},
+        {PlatformKind::BG2, 2, 1.0,
+         {15011497736008152590ull, 13051761652879844376ull,
+          13500709917812222728ull}},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(platforms::platformName(c.kind) + " x" +
+                     std::to_string(c.devices));
+        const OutputHashes got = hashes(c.kind, c.devices, c.cacheMB);
+        EXPECT_EQ(got.metricsJson, c.want.metricsJson);
+        EXPECT_EQ(got.csvRow, c.want.csvRow);
+        EXPECT_EQ(got.trace, c.want.trace);
+    }
 }
 
 TEST_F(MetricsGolden, ReserveExactMirrorsTheBundleBlocks)
