@@ -23,7 +23,6 @@
 
 #include "accel/systolic.h"
 #include "platforms/device_context.h"
-#include "sim/ordered.h"
 
 using namespace bench;
 
@@ -96,8 +95,8 @@ stripingAblation()
         // Count distinct dies the layout touches.
         std::set<unsigned> dies;
         flash::AddressCodec codec(sys.flash);
-        for (auto ppa : sim::sortedKeys(layout.pages))
-            dies.insert(codec.globalDieOf(ppa));
+        for (const auto &page : layout.pages)
+            dies.insert(codec.globalDieOf(page.ppa));
 
         // Time BG-2 on this layout.
         auto p = platforms::makePlatform(PlatformKind::BG2);

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "sim/log.h"
-#include "sim/ordered.h"
 
 namespace beacongnn::dg {
 
@@ -17,22 +16,31 @@ struct NodePlan
     std::vector<std::uint32_t> secondaryCounts;
 };
 
+/** Largest section a page of @p page_size bytes can hold: the whole
+ *  page, but never more than the 16-bit sectionBytes field encodes. */
+std::uint32_t
+sectionLimit(std::uint32_t page_size)
+{
+    return std::min(page_size, kMaxSectionBytes);
+}
+
 /**
  * Decide how a node's neighbours split between its primary section
- * and secondary sections. Nodes whose full record fits in one page
- * keep everything in the primary; otherwise the primary fills an
- * entire page and the remainder spills into secondaries.
+ * and secondary sections. Nodes whose full record fits in one section
+ * keep everything in the primary; otherwise the primary fills a whole
+ * section and the remainder spills into secondaries.
  */
 NodePlan
 planNode(std::uint32_t degree, std::uint32_t feat_bytes,
          std::uint32_t page_size)
 {
     NodePlan plan;
-    if (primarySectionBytes(0, feat_bytes, degree) <= page_size) {
+    const std::uint32_t limit = sectionLimit(page_size);
+    if (primarySectionBytes(0, feat_bytes, degree) <= limit) {
         plan.inPage = degree;
         return plan;
     }
-    const std::uint32_t sec_cap = (page_size - kHeaderBytes) / kAddrBytes;
+    const std::uint32_t sec_cap = (limit - kHeaderBytes) / kAddrBytes;
     // Fixed-point iteration: more secondaries shrink the primary's
     // in-page capacity (each ref costs 8 B), which may require yet
     // another secondary. Converges in a couple of steps.
@@ -41,7 +49,7 @@ planNode(std::uint32_t degree, std::uint32_t feat_bytes,
     for (;;) {
         std::uint32_t meta = kHeaderBytes + s * kSecondaryRefBytes +
                              feat_bytes;
-        in_page = meta >= page_size ? 0 : (page_size - meta) / kAddrBytes;
+        in_page = meta >= limit ? 0 : (limit - meta) / kAddrBytes;
         in_page = std::min(in_page, degree);
         std::uint32_t spill = degree - in_page;
         std::uint32_t need =
@@ -60,6 +68,9 @@ planNode(std::uint32_t degree, std::uint32_t feat_bytes,
     return plan;
 }
 
+/** Section placements in placement order, keyed by their page. */
+using Placements = std::vector<std::pair<flash::Ppa, SectionPlacement>>;
+
 /** An open page being filled by the best-fit packer. */
 struct OpenPage
 {
@@ -75,11 +86,11 @@ struct OpenPage
 class Packer
 {
   public:
-    Packer(DirectGraphLayout &layout_,
+    Packer(DirectGraphLayout &layout_, Placements &placed_,
            std::span<const flash::BlockId> blocks_,
            const flash::FlashConfig &cfg_, const BuilderOptions &opts,
            std::uint64_t &pages_used, std::uint64_t &blocks_touched)
-        : layout(layout_), blocks(blocks_), cfg(cfg_),
+        : layout(layout_), placed(placed_), blocks(blocks_), cfg(cfg_),
           poolLimit(std::max(1u, opts.openPagePool)),
           pagesUsed(pages_used), blocksTouched(blocks_touched)
     {
@@ -101,7 +112,7 @@ class Packer
     place(graph::NodeId node, SectionType type, std::uint32_t size,
           std::uint32_t secondary_idx)
     {
-        if (size > cfg.pageSize)
+        if (size > sectionLimit(cfg.pageSize))
             sim::panic("DirectGraph section larger than a flash page");
         // Best fit: the open page with the least leftover that still
         // accommodates the section.
@@ -143,7 +154,7 @@ class Packer
         sp.byteOffset = offset;
         sp.byteSize = size;
         sp.secondaryIdx = secondary_idx;
-        layout.pages[p.ppa].sections.push_back(sp);
+        placed.emplace_back(p.ppa, sp);
 
         p.used = offset + size;
         ++p.sections;
@@ -170,6 +181,7 @@ class Packer
     }
 
     DirectGraphLayout &layout;
+    Placements &placed;
     std::span<const flash::BlockId> blocks;
     const flash::FlashConfig &cfg;
     unsigned poolLimit;
@@ -192,7 +204,7 @@ buildLayout(const graph::Graph &g, const graph::FeatureTable &features,
     layout.pageSize = cfg.pageSize;
     const std::uint32_t feat_bytes = features.bytesPerNode();
 
-    if (kHeaderBytes + feat_bytes > cfg.pageSize)
+    if (kHeaderBytes + feat_bytes > sectionLimit(cfg.pageSize))
         sim::fatal("feature vector does not fit in a flash page");
 
     const graph::NodeId n = g.numNodes();
@@ -211,7 +223,12 @@ buildLayout(const graph::Graph &g, const graph::FeatureTable &features,
     // (the two page types of Fig. 8) drawn from one page sequence.
     std::uint64_t pages_used = 0;
     std::uint64_t blocks_touched = 0;
-    Packer primary_packer(layout, blocks, cfg, opts, pages_used,
+    std::size_t sections = n;
+    for (const auto &plan : plans)
+        sections += plan.secondaryCounts.size();
+    Placements placed;
+    placed.reserve(sections);
+    Packer primary_packer(layout, placed, blocks, cfg, opts, pages_used,
                           blocks_touched);
     for (graph::NodeId v = 0; v < n; ++v) {
         const auto &plan = plans[v];
@@ -223,7 +240,7 @@ buildLayout(const graph::Graph &g, const graph::FeatureTable &features,
     }
     layout.stats.primaryPages = pages_used;
 
-    Packer secondary_packer(layout, blocks, cfg, opts, pages_used,
+    Packer secondary_packer(layout, placed, blocks, cfg, opts, pages_used,
                             blocks_touched);
     for (graph::NodeId v = 0; v < n; ++v) {
         const auto &plan = plans[v];
@@ -239,6 +256,10 @@ buildLayout(const graph::Graph &g, const graph::FeatureTable &features,
         }
     }
     layout.stats.secondaryPages = pages_used - layout.stats.primaryPages;
+    // Free the plans first, so the directory build's copy of the
+    // placements does not raise the peak footprint.
+    plans = std::vector<NodePlan>();
+    layout.pages = PageDirectory(placed);
 
     // ---- Accounting (Table IV) -----------------------------------
     layout.blocks.assign(
@@ -260,11 +281,8 @@ encodePageImage(const DirectGraphLayout &layout, const graph::Graph &g,
                 std::span<std::uint8_t> buf)
 {
     std::fill(buf.begin(), buf.end(), std::uint8_t{0});
-    auto it = layout.pages.find(ppa);
-    if (it == layout.pages.end())
-        return;
     std::vector<std::uint8_t> feat(features.bytesPerNode());
-    for (const auto &sp : it->second.sections) {
+    for (const auto &sp : layout.pages.sectionsOf(ppa)) {
         const NodeLayout &nl = layout.nodes[sp.node];
         std::span<std::uint8_t> out =
             buf.subspan(sp.byteOffset, sp.byteSize);
@@ -299,11 +317,11 @@ materialize(const DirectGraphLayout &layout, const graph::Graph &g,
             const graph::FeatureTable &features, flash::PageStore &store)
 {
     std::vector<std::uint8_t> buf(layout.pageSize);
-    // Programming order is observable through PageStore program
-    // counters; walk the pages in sorted PPA order (BGN002).
-    for (flash::Ppa ppa : sim::sortedKeys(layout.pages)) {
-        encodePageImage(layout, g, features, ppa, buf);
-        if (!store.program(ppa, buf))
+    // The directory walks pages in Ppa order, the programming order
+    // PageStore's program counters observe.
+    for (const auto &page : layout.pages) {
+        encodePageImage(layout, g, features, page.ppa, buf);
+        if (!store.program(page.ppa, buf))
             sim::panic("materialize: page already programmed");
     }
 }

@@ -31,10 +31,7 @@ get16(std::span<const std::uint8_t> in, std::uint32_t off)
 std::uint32_t
 get32(std::span<const std::uint8_t> in, std::uint32_t off)
 {
-    return static_cast<std::uint32_t>(in[off]) |
-           (static_cast<std::uint32_t>(in[off + 1]) << 8) |
-           (static_cast<std::uint32_t>(in[off + 2]) << 16) |
-           (static_cast<std::uint32_t>(in[off + 3]) << 24);
+    return loadLe32(in.subspan(off, 4).data());
 }
 
 } // namespace
@@ -119,41 +116,29 @@ decodeSection(std::span<const std::uint8_t> page, std::uint32_t offset,
     std::uint32_t sec_count = get16(page, offset + 12);
 
     std::uint32_t off = offset + kHeaderBytes;
+    const std::uint32_t end = offset + size;
     if (s.type == SectionType::Primary) {
-        if (off + sec_count * kSecondaryRefBytes > offset + size)
+        if (off + sec_count * kSecondaryRefBytes > end)
             return std::nullopt;
-        s.secondaries.reserve(sec_count);
-        for (std::uint32_t i = 0; i < sec_count; ++i) {
-            SecondaryRef r;
-            r.addr = DgAddress(get32(page, off));
-            r.count = get32(page, off + 4);
-            s.secondaries.push_back(r);
-            off += kSecondaryRefBytes;
-        }
+        s.secondaries = SecondaryRefs::encoded(page.data() + off, sec_count);
+        off += sec_count * kSecondaryRefBytes;
         std::uint32_t feat_bytes =
             s.hasFeature ? std::uint32_t{feature_dim} * 2 : 0;
-        if (off + feat_bytes > offset + size)
+        if (off + feat_bytes > end)
             return std::nullopt;
         off += feat_bytes; // The feature body is opaque to the decoder.
-        std::uint32_t rest = offset + size - off;
+        std::uint32_t rest = end - off;
         if (rest % kAddrBytes != 0)
             return std::nullopt;
         s.inPage = rest / kAddrBytes;
-        s.neighborAddrs.reserve(s.inPage);
-        for (std::uint32_t i = 0; i < s.inPage; ++i) {
-            s.neighborAddrs.emplace_back(get32(page, off));
-            off += kAddrBytes;
-        }
+        s.viewEncoded(page.data() + off, s.inPage);
     } else {
-        std::uint32_t expect =
-            kHeaderBytes + s.totalNeighbors * kAddrBytes;
+        // 64-bit, so a huge count cannot wrap onto the section size.
+        std::uint64_t expect =
+            kHeaderBytes + std::uint64_t{s.totalNeighbors} * kAddrBytes;
         if (expect != size)
             return std::nullopt;
-        s.neighborAddrs.reserve(s.totalNeighbors);
-        for (std::uint32_t i = 0; i < s.totalNeighbors; ++i) {
-            s.neighborAddrs.emplace_back(get32(page, off));
-            off += kAddrBytes;
-        }
+        s.viewEncoded(page.data() + off, s.totalNeighbors);
     }
     return s;
 }

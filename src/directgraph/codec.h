@@ -23,7 +23,8 @@
  *
  * Sections start at 64-byte aligned offsets within a page (ONFI
  * column-address granularity); at most 16 sections per page (4-bit
- * section index).
+ * section index) and at most kMaxSectionBytes per section (16-bit
+ * sectionBytes), whatever the page size.
  */
 
 #ifndef BEACONGNN_DIRECTGRAPH_CODEC_H
@@ -67,7 +68,76 @@ secondarySectionBytes(std::uint32_t count)
     return kHeaderBytes + count * kAddrBytes;
 }
 
-/** Fully decoded section (both byte and layout sources produce this). */
+/** Largest encodable section: the header's sectionBytes is 16 bits. */
+inline constexpr std::uint32_t kMaxSectionBytes = 0xFFFF;
+
+/** Read a little-endian u32 at @p p. */
+inline std::uint32_t
+loadLe32(const std::uint8_t *p)
+{
+    return static_cast<std::uint32_t>(p[0]) |
+           (static_cast<std::uint32_t>(p[1]) << 8) |
+           (static_cast<std::uint32_t>(p[2]) << 16) |
+           (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
+/**
+ * Non-owning view of a primary section's secondary refs: either the
+ * layout's in-memory list or the encoded list inside a page image.
+ * Indexing decodes one ref; @p j must be below size().
+ */
+class SecondaryRefs
+{
+  public:
+    SecondaryRefs() = default;
+    SecondaryRefs(std::span<const SecondaryRef> refs)
+        : mem(refs.data()), n(static_cast<std::uint32_t>(refs.size()))
+    {
+    }
+    SecondaryRefs(const std::vector<SecondaryRef> &refs)
+        : SecondaryRefs(std::span<const SecondaryRef>(refs))
+    {
+    }
+
+    /** @p count refs encoded back to back at @p bytes. */
+    static SecondaryRefs
+    encoded(const std::uint8_t *bytes, std::uint32_t count)
+    {
+        SecondaryRefs r;
+        r.enc = bytes;
+        r.n = count;
+        return r;
+    }
+
+    std::uint32_t size() const { return n; }
+
+    SecondaryRef
+    operator[](std::uint32_t j) const
+    {
+        if (mem)
+            return mem[j];
+        const std::uint8_t *p = enc + std::size_t{j} * kSecondaryRefBytes;
+        return {DgAddress(loadLe32(p)), loadLe32(p + 4)};
+    }
+
+  private:
+    const SecondaryRef *mem = nullptr;
+    const std::uint8_t *enc = nullptr;
+    std::uint32_t n = 0;
+};
+
+/**
+ * One section as the on-die section iterator sees it: the header
+ * fields, plus a non-owning view of the stored neighbour addresses
+ * and secondary refs that resolves an entry only when asked for it.
+ *
+ * Both sources build this view without copying any list. A byte view
+ * points into the page image, which decodeSection() has already
+ * bounds-checked; a layout view points at the owner's CSR neighbour
+ * ids and maps each one to its primary address through the layout's
+ * node table. A view borrows that storage: use it before the page is
+ * reprogrammed or the layout is destroyed.
+ */
 struct SectionData
 {
     SectionType type = SectionType::Invalid;
@@ -75,9 +145,46 @@ struct SectionData
     std::uint32_t totalNeighbors = 0; ///< See header doc.
     bool hasFeature = false;
     std::uint32_t inPage = 0;         ///< Primary only.
-    std::vector<SecondaryRef> secondaries; ///< Primary only.
-    /** Stored neighbour addresses (in-page portion for primaries). */
-    std::vector<DgAddress> neighborAddrs;
+    SecondaryRefs secondaries;        ///< Primary only.
+
+    /** Neighbour addresses stored in this section: the in-page ones
+     *  of a primary, all of a secondary's. */
+    std::uint32_t neighborCount() const { return stored; }
+
+    /** Stored neighbour @p i (< neighborCount()), resolved now. */
+    DgAddress
+    neighborAt(std::uint32_t i) const
+    {
+        if (addrBytes)
+            return DgAddress(
+                loadLe32(addrBytes + std::size_t{i} * kAddrBytes));
+        return nodeTable[neighborIds[i]].primary;
+    }
+
+    /** Back the view with @p count encoded addresses at @p bytes. */
+    void
+    viewEncoded(const std::uint8_t *bytes, std::uint32_t count)
+    {
+        addrBytes = bytes;
+        stored = count;
+    }
+
+    /** Back the view with neighbour @p ids, each resolved to the
+     *  primary address @p node_table holds for it. */
+    void
+    viewLayout(std::span<const graph::NodeId> ids,
+               const NodeLayout *node_table)
+    {
+        neighborIds = ids.data();
+        nodeTable = node_table;
+        stored = static_cast<std::uint32_t>(ids.size());
+    }
+
+  private:
+    const std::uint8_t *addrBytes = nullptr;
+    const graph::NodeId *neighborIds = nullptr;
+    const NodeLayout *nodeTable = nullptr;
+    std::uint32_t stored = 0;
 };
 
 /**
@@ -109,9 +216,11 @@ std::uint32_t encodeSecondary(std::span<std::uint8_t> out,
  * @param feature_dim  Feature elements (from the GNN config registers;
  *                     needed to split a primary body into feature and
  *                     neighbour regions).
- * @return Decoded section, or nullopt if the bytes are not a valid
+ * @return Section view, or nullopt if the bytes are not a valid
  *         section (type tag 0/unknown, size out of range) — the
- *         condition on which an on-die sampler aborts (§VI-E).
+ *         condition on which an on-die sampler aborts (§VI-E). Every
+ *         size bound is checked here, so each neighbour and secondary
+ *         ref the view resolves later lies inside the section.
  */
 std::optional<SectionData> decodeSection(
     std::span<const std::uint8_t> page, std::uint32_t offset,

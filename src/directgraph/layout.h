@@ -2,9 +2,9 @@
  * @file
  * DirectGraph layout structures: the logical description of where
  * every node's primary and secondary sections live on flash, plus the
- * per-page directories needed to resolve (page, section) back to a
- * node. The layout is the builder's output; it can be *materialized*
- * into real page bytes (tests, small graphs) or used directly as a
+ * flat page directory that resolves (page, section) back to a node.
+ * The layout is the builder's output; it can be *materialized* into
+ * real page bytes (tests, small graphs) or used directly as a
  * metadata-only section source (large timing runs) — both paths are
  * checked for equivalence in the test suite.
  */
@@ -12,8 +12,10 @@
 #ifndef BEACONGNN_DIRECTGRAPH_LAYOUT_H
 #define BEACONGNN_DIRECTGRAPH_LAYOUT_H
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "directgraph/address.h"
@@ -56,10 +58,126 @@ struct SectionPlacement
     std::uint32_t secondaryIdx = 0;
 };
 
-/** Directory of the sections stored in one flash page. */
-struct PageDirectory
+/**
+ * Flat directory of the sections on every DirectGraph page: one
+ * Ppa-ordered array of placements plus a dense index over the page
+ * range the layout spans, so resolving (page, section) takes two
+ * array reads and no hashing. The index costs 4 B per page between
+ * the lowest and highest used page; Ftl::reserveBlocks hands blocks
+ * out from the bottom, so that range stays close to the pages used.
+ */
+class PageDirectory
 {
-    std::vector<SectionPlacement> sections;
+  public:
+    /** One used page with its sections in section-index order. */
+    struct Page
+    {
+        flash::Ppa ppa;
+        std::span<const SectionPlacement> sections;
+    };
+
+    /** Forward iterator over the used pages in Ppa order. */
+    class Iterator
+    {
+      public:
+        Page operator*() const { return dir->pageAt(at); }
+        Iterator &
+        operator++()
+        {
+            at = dir->nextUsed(at + 1);
+            return *this;
+        }
+        bool operator==(const Iterator &o) const { return at == o.at; }
+
+      private:
+        friend class PageDirectory;
+        Iterator(const PageDirectory *d, std::size_t i) : dir(d), at(i) {}
+        const PageDirectory *dir;
+        std::size_t at;
+    };
+
+    PageDirectory() = default;
+
+    /**
+     * Build from (page, placement) pairs in any page order; the
+     * placements of one page must come in section-index order. A
+     * counting sort by page keeps that order.
+     */
+    explicit PageDirectory(
+        const std::vector<std::pair<flash::Ppa, SectionPlacement>> &placed)
+    {
+        if (placed.empty())
+            return;
+        auto [lo, hi] = std::minmax_element(
+            placed.begin(), placed.end(),
+            [](const auto &a, const auto &b) { return a.first < b.first; });
+        base = lo->first;
+        first.assign(std::size_t{hi->first} - base + 2, 0);
+        for (const auto &entry : placed)
+            ++first[entry.first - base + 1];
+        for (std::size_t i = 1; i < first.size(); ++i) {
+            used += first[i] != 0;
+            first[i] += first[i - 1];
+        }
+        std::vector<std::uint32_t> next(first.begin(), first.end() - 1);
+        placements.resize(placed.size());
+        for (const auto &[ppa, sp] : placed)
+            placements[next[ppa - base]++] = sp;
+    }
+
+    /** Sections stored on @p ppa; empty if it holds none. */
+    std::span<const SectionPlacement>
+    sectionsOf(flash::Ppa ppa) const
+    {
+        std::size_t i = std::size_t{ppa} - base;
+        if (ppa < base || i + 1 >= first.size())
+            return {};
+        return {placements.data() + first[i], first[i + 1] - first[i]};
+    }
+
+    /** Resolve (page, section) to its placement; nullptr if absent. */
+    const SectionPlacement *
+    find(DgAddress a) const
+    {
+        std::span<const SectionPlacement> secs = sectionsOf(a.page());
+        return a.section() < secs.size() ? &secs[a.section()] : nullptr;
+    }
+
+    /** Pages holding at least one section. */
+    std::size_t size() const { return used; }
+    bool empty() const { return used == 0; }
+
+    Iterator begin() const { return {this, nextUsed(0)}; }
+    Iterator end() const { return {this, pageRange()}; }
+
+  private:
+    /** Pages the index covers. */
+    std::size_t pageRange() const
+    {
+        return first.empty() ? 0 : first.size() - 1;
+    }
+
+    Page
+    pageAt(std::size_t i) const
+    {
+        return {static_cast<flash::Ppa>(base + i),
+                {placements.data() + first[i], first[i + 1] - first[i]}};
+    }
+
+    /** First used page at or after index @p i (pageRange() if none). */
+    std::size_t
+    nextUsed(std::size_t i) const
+    {
+        while (i < pageRange() && first[i] == first[i + 1])
+            ++i;
+        return i;
+    }
+
+    flash::Ppa base = 0;
+    /** Page base + i holds placements [first[i], first[i + 1]). */
+    std::vector<std::uint32_t> first;
+    std::vector<SectionPlacement> placements;
+    std::size_t used = 0;
 };
 
 /** Aggregate construction statistics (Table IV). */
@@ -91,7 +209,7 @@ struct BuildStats
 struct DirectGraphLayout
 {
     std::vector<NodeLayout> nodes;  ///< Indexed by NodeId.
-    std::unordered_map<flash::Ppa, PageDirectory> pages;
+    PageDirectory pages;
     std::vector<flash::BlockId> blocks; ///< Reserved blocks consumed.
     std::uint16_t featureDim = 0;
     std::uint32_t pageSize = 0;
@@ -101,17 +219,7 @@ struct DirectGraphLayout
     DgAddress primaryOf(graph::NodeId v) const { return nodes[v].primary; }
 
     /** Resolve (page, section) to its placement; nullptr if absent. */
-    const SectionPlacement *
-    find(DgAddress a) const
-    {
-        auto it = pages.find(a.page());
-        if (it == pages.end())
-            return nullptr;
-        const auto &secs = it->second.sections;
-        if (a.section() >= secs.size())
-            return nullptr;
-        return &secs[a.section()];
-    }
+    const SectionPlacement *find(DgAddress a) const { return pages.find(a); }
 };
 
 } // namespace beacongnn::dg

@@ -8,8 +8,10 @@
  *    sampler hardware does); used by functional tests and examples.
  *  - LayoutSource answers from builder metadata without materializing
  *    page bytes; used for large timing runs.
- * The test suite checks that both return identical SectionData for
- * every address of a materialized graph.
+ * Both return a SectionData view that resolves neighbour addresses
+ * only when the sampler asks for them. The test suite checks that
+ * both views agree, header and every accessor, for every primary and
+ * secondary section of a materialized graph.
  */
 
 #ifndef BEACONGNN_DIRECTGRAPH_SOURCE_H
@@ -78,6 +80,7 @@ class LayoutSource : public SectionSource
         if (!sp)
             return std::nullopt;
         const NodeLayout &nl = layout.nodes[sp->node];
+        std::span<const graph::NodeId> ids = g.neighbors(sp->node);
         SectionData s;
         s.type = sp->type;
         s.node = sp->node;
@@ -86,21 +89,14 @@ class LayoutSource : public SectionSource
             s.hasFeature = layout.featureDim > 0;
             s.inPage = nl.inPage;
             s.secondaries = nl.secondaries;
-            s.neighborAddrs.reserve(nl.inPage);
-            for (std::uint32_t i = 0; i < nl.inPage; ++i)
-                s.neighborAddrs.push_back(
-                    layout.nodes[g.neighbor(sp->node, i)].primary);
+            s.viewLayout(ids.first(nl.inPage), layout.nodes.data());
         } else {
             std::uint32_t start = nl.inPage;
             for (std::uint32_t j = 0; j < sp->secondaryIdx; ++j)
                 start += nl.secondaries[j].count;
             std::uint32_t count = nl.secondaries[sp->secondaryIdx].count;
             s.totalNeighbors = count;
-            s.hasFeature = false;
-            s.neighborAddrs.reserve(count);
-            for (std::uint32_t i = 0; i < count; ++i)
-                s.neighborAddrs.push_back(
-                    layout.nodes[g.neighbor(sp->node, start + i)].primary);
+            s.viewLayout(ids.subspan(start, count), layout.nodes.data());
         }
         return s;
     }

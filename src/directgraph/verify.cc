@@ -2,8 +2,6 @@
 
 #include <string>
 
-#include "sim/ordered.h"
-
 namespace beacongnn::dg {
 
 std::string
@@ -36,16 +34,14 @@ checkLayoutInvariants(const DirectGraphLayout &layout)
                    " of " + std::to_string(nl.degree) + " neighbours";
     }
 
-    // Sorted walk so the *first* violation reported is the same on
-    // every build — a hash-order walk made the error message (and
-    // thus test expectations) nondeterministic on corrupt layouts.
-    for (flash::Ppa ppa : sim::sortedKeys(layout.pages)) {
-        const PageDirectory &dir = layout.pages.at(ppa);
-        if (dir.sections.size() > kMaxSectionsPerPage)
+    // The directory walks pages in Ppa order, so the first violation
+    // reported is the same on every build.
+    for (const auto &[ppa, sections] : layout.pages) {
+        if (sections.size() > kMaxSectionsPerPage)
             return "page " + std::to_string(ppa) +
                    ": too many sections";
         std::uint32_t prev_end = 0;
-        for (const auto &sp : dir.sections) {
+        for (const auto &sp : sections) {
             if (sp.byteOffset % kSectionAlign != 0)
                 return "page " + std::to_string(ppa) +
                        ": unaligned section";

@@ -64,12 +64,14 @@ class AddressVerifier
     {
         if (!pageAllowed(ppa))
             return false;
+        // Every embedded address, not just the ones a sampler would
+        // pick: the flush check must hold for any later draw.
         for (const auto &sec : decodePage(image, feature_dim)) {
-            for (const auto &r : sec.secondaries)
-                if (!addressAllowed(r.addr))
+            for (std::uint32_t j = 0; j < sec.secondaries.size(); ++j)
+                if (!addressAllowed(sec.secondaries[j].addr))
                     return false;
-            for (const auto &a : sec.neighborAddrs)
-                if (!addressAllowed(a))
+            for (std::uint32_t i = 0; i < sec.neighborCount(); ++i)
+                if (!addressAllowed(sec.neighborAt(i)))
                     return false;
         }
         return true;

@@ -65,8 +65,9 @@ DieSampler::executeImpl(const std::optional<dg::SectionData> &section,
             gcfg.seed, params.batchId, params.hop, s.node,
             params.sampleCount, s.totalNeighbors, s.inPage,
             s.secondaries);
+        // Resolve only the picked neighbours.
         for (std::uint32_t pick : draws.inPagePicks)
-            make_child(s.neighborAddrs[pick]);
+            make_child(s.neighborAt(pick));
         for (std::size_t j = 0; j < draws.secondaryHits.size(); ++j) {
             std::uint32_t hits = draws.secondaryHits[j];
             if (hits == 0)
@@ -77,12 +78,14 @@ DieSampler::executeImpl(const std::optional<dg::SectionData> &section,
             // picks (drawSecondary is keyed by draw index), more
             // flash reads.
             std::uint32_t per_cmd = opts.coalesceSecondary ? hits : 1;
+            const dg::DgAddress sec_addr =
+                s.secondaries[static_cast<std::uint32_t>(j)].addr;
             for (std::uint32_t first = 0; first < hits;
                  first += per_cmd) {
                 flash::EmittedCommand c;
-                c.params.ppa = s.secondaries[j].addr.page();
-                c.params.sectionIndex = static_cast<std::uint8_t>(
-                    s.secondaries[j].addr.section());
+                c.params.ppa = sec_addr.page();
+                c.params.sectionIndex =
+                    static_cast<std::uint8_t>(sec_addr.section());
                 c.params.hop = params.hop; // Same-hop continuation.
                 c.params.batchId = params.batchId;
                 c.params.isSecondary = true;
@@ -103,7 +106,7 @@ DieSampler::executeImpl(const std::optional<dg::SectionData> &section,
             params.secondaryOrdinal, params.firstDraw,
             params.sampleCount, s.totalNeighbors);
         for (std::uint32_t idx : picks)
-            make_child(s.neighborAddrs[idx]);
+            make_child(s.neighborAt(idx));
     }
     return res;
 }

@@ -38,7 +38,7 @@ class PageStore
     bool
     isProgrammed(Ppa ppa) const
     {
-        return pages.find(ppa) != pages.end();
+        return images.find(ppa) != images.end();
     }
 
     /**
@@ -53,7 +53,7 @@ class PageStore
     {
         if (isProgrammed(ppa))
             return false;
-        auto &buf = pages[ppa];
+        auto &buf = images[ppa];
         buf.assign(pageSize, 0);
         std::size_t n = std::min<std::size_t>(data.size(), pageSize);
         std::copy(data.begin(), data.begin() + n, buf.begin());
@@ -70,8 +70,8 @@ class PageStore
     std::span<const std::uint8_t>
     read(Ppa ppa) const
     {
-        auto it = pages.find(ppa);
-        if (it == pages.end())
+        auto it = images.find(ppa);
+        if (it == images.end())
             return {};
         return {it->second.data(), it->second.size()};
     }
@@ -82,7 +82,7 @@ class PageStore
     {
         Ppa first = codec.firstPage(block);
         for (unsigned p = 0; p < codec.config().pagesPerBlock; ++p)
-            pages.erase(first + p);
+            images.erase(first + p);
         ++eraseCount[block];
     }
 
@@ -103,22 +103,23 @@ class PageStore
     bool
     corruptBit(Ppa ppa, std::uint32_t byte_off, unsigned bit)
     {
-        auto it = pages.find(ppa);
-        if (it == pages.end() || byte_off >= it->second.size())
+        auto it = images.find(ppa);
+        if (it == images.end() || byte_off >= it->second.size())
             return false;
         it->second[byte_off] ^= static_cast<std::uint8_t>(1u << (bit & 7));
         return true;
     }
 
     /** Number of currently programmed pages. */
-    std::size_t programmedPages() const { return pages.size(); }
+    std::size_t programmedPages() const { return images.size(); }
 
     const AddressCodec &addressCodec() const { return codec; }
 
   private:
     AddressCodec codec;
     std::uint32_t pageSize;
-    std::unordered_map<Ppa, std::vector<std::uint8_t>> pages;
+    /** Programmed page images (point lookups only). */
+    std::unordered_map<Ppa, std::vector<std::uint8_t>> images;
     std::unordered_map<BlockId, std::uint64_t> programCount;
     std::unordered_map<BlockId, std::uint64_t> eraseCount;
 };

@@ -7,8 +7,7 @@ namespace beacongnn::gnn {
 PrimaryDraws
 drawPrimary(std::uint64_t seed, std::uint64_t batch, std::uint8_t hop,
             graph::NodeId node, std::uint8_t fanout, std::uint32_t degree,
-            std::uint32_t in_page,
-            std::span<const dg::SecondaryRef> secondaries)
+            std::uint32_t in_page, dg::SecondaryRefs secondaries)
 {
     PrimaryDraws out;
     out.secondaryHits.assign(secondaries.size(), 0);
@@ -22,7 +21,7 @@ drawPrimary(std::uint64_t seed, std::uint64_t batch, std::uint8_t hop,
         } else {
             // Locate the secondary section covering index r.
             std::uint32_t start = in_page;
-            for (std::size_t j = 0; j < secondaries.size(); ++j) {
+            for (std::uint32_t j = 0; j < secondaries.size(); ++j) {
                 if (r < start + secondaries[j].count) {
                     ++out.secondaryHits[j];
                     break;

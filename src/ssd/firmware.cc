@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/log.h"
-#include "sim/ordered.h"
 
 namespace beacongnn::ssd {
 
@@ -34,9 +33,10 @@ Firmware::flushDirectGraph(sim::Tick start,
     sim::Tick finish = start;
     res.ok = true;
 
-    // Deterministic page order keeps timing reproducible across runs
-    // (unordered_map iteration order is not stable across builds).
-    for (flash::Ppa ppa : sim::sortedKeys(layout.pages)) {
+    // The directory walks pages in Ppa order, which keeps the flush
+    // timing reproducible across runs.
+    for (const auto &page : layout.pages) {
+        const flash::Ppa ppa = page.ppa;
         dg::encodePageImage(layout, g, features, ppa, buf);
         // §VI-E: destination and embedded addresses must stay inside
         // the reserved blocks.

@@ -2,7 +2,8 @@
  * @file
  * DirectGraph tests: address packing, section codec round trips, the
  * Algorithm-1 builder's invariants, byte/layout source equivalence,
- * and the §VI-E security verifier.
+ * the flat page directory, memory safety of lazy section views over
+ * corrupted pages, and the §VI-E security verifier.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +11,9 @@
 #include "directgraph/builder.h"
 #include "directgraph/source.h"
 #include "directgraph/verify.h"
+#include "engines/die_sampler.h"
 #include "graph/generator.h"
+#include "sim/rng.h"
 #include "ssd/ftl.h"
 
 namespace {
@@ -88,8 +91,9 @@ TEST(Codec, PrimaryRoundTrip)
     EXPECT_EQ(dec->secondaries[0].count, 50u);
     EXPECT_EQ(dec->secondaries[1].count, 30u);
     EXPECT_EQ(dec->inPage, 3u);
-    ASSERT_EQ(dec->neighborAddrs.size(), 3u);
-    EXPECT_EQ(dec->neighborAddrs[2], DgAddress(9, 15));
+    ASSERT_EQ(dec->neighborCount(), 3u);
+    EXPECT_EQ(dec->neighborAt(0), DgAddress(7, 0));
+    EXPECT_EQ(dec->neighborAt(2), DgAddress(9, 15));
 }
 
 TEST(Codec, SecondaryRoundTrip)
@@ -105,8 +109,8 @@ TEST(Codec, SecondaryRoundTrip)
     EXPECT_EQ(dec->type, SectionType::Secondary);
     EXPECT_EQ(dec->node, 777u);
     EXPECT_EQ(dec->totalNeighbors, 20u);
-    ASSERT_EQ(dec->neighborAddrs.size(), 20u);
-    EXPECT_EQ(dec->neighborAddrs[19], DgAddress(19 * 17, 3));
+    ASSERT_EQ(dec->neighborCount(), 20u);
+    EXPECT_EQ(dec->neighborAt(19), DgAddress(19 * 17, 3));
 }
 
 TEST(Codec, MultipleSectionsPerPage)
@@ -200,8 +204,57 @@ TEST(Builder, CompactionPacksSmallSections)
     // Way fewer pages than nodes.
     EXPECT_LT(layout.stats.primaryPages, 16u);
     // And no page exceeds the 4-bit section cap.
-    for (const auto &[ppa, dir] : layout.pages)
-        EXPECT_LE(dir.sections.size(), kMaxSectionsPerPage);
+    for (const auto &[ppa, sections] : layout.pages)
+        EXPECT_LE(sections.size(), kMaxSectionsPerPage);
+}
+
+/** Header fields and every accessor of two section views agree. */
+void
+expectSameSection(const SectionData &a, const SectionData &b)
+{
+    EXPECT_EQ(a.type, b.type);
+    EXPECT_EQ(a.node, b.node);
+    EXPECT_EQ(a.totalNeighbors, b.totalNeighbors);
+    EXPECT_EQ(a.hasFeature, b.hasFeature);
+    EXPECT_EQ(a.inPage, b.inPage);
+    ASSERT_EQ(a.secondaries.size(), b.secondaries.size());
+    for (std::uint32_t j = 0; j < a.secondaries.size(); ++j) {
+        EXPECT_EQ(a.secondaries[j].addr, b.secondaries[j].addr);
+        EXPECT_EQ(a.secondaries[j].count, b.secondaries[j].count);
+    }
+    ASSERT_EQ(a.neighborCount(), b.neighborCount());
+    for (std::uint32_t i = 0; i < a.neighborCount(); ++i)
+        ASSERT_EQ(a.neighborAt(i), b.neighborAt(i)) << "neighbour " << i;
+}
+
+/** PageByteSource over the materialized @p store and LayoutSource
+ *  return the same view for every primary and secondary section. */
+void
+expectSourcesAgree(const DirectGraphLayout &layout, const graph::Graph &g,
+                   const flash::PageStore &store, std::uint16_t feature_dim)
+{
+    PageByteSource bytes(store, feature_dim);
+    LayoutSource meta(layout, g);
+    for (graph::NodeId v = 0; v < g.numNodes(); ++v) {
+        SCOPED_TRACE(v);
+        auto a = bytes.fetch(layout.nodes[v].primary);
+        auto b = meta.fetch(layout.nodes[v].primary);
+        ASSERT_TRUE(a && b);
+        EXPECT_EQ(a->node, v);
+        std::uint32_t covered = a->inPage;
+        for (std::uint32_t j = 0; j < a->secondaries.size(); ++j)
+            covered += a->secondaries[j].count;
+        EXPECT_EQ(covered, g.degree(v));
+        expectSameSection(*a, *b);
+        for (const auto &r : layout.nodes[v].secondaries) {
+            auto sa = bytes.fetch(r.addr);
+            auto sb = meta.fetch(r.addr);
+            ASSERT_TRUE(sa && sb);
+            EXPECT_EQ(sa->node, v);
+            EXPECT_EQ(sa->type, SectionType::Secondary);
+            expectSameSection(*sa, *sb);
+        }
+    }
 }
 
 TEST(Builder, MaterializeAndSourcesAgree)
@@ -221,38 +274,31 @@ TEST(Builder, MaterializeAndSourcesAgree)
     materialize(layout, g, feat, store);
     EXPECT_EQ(store.programmedPages(), layout.pages.size());
 
-    PageByteSource bytes(store, feat.dim());
-    LayoutSource meta(layout, g);
+    expectSourcesAgree(layout, g, store, feat.dim());
+}
 
-    for (graph::NodeId v = 0; v < g.numNodes(); ++v) {
-        // Primary sections agree between byte and layout sources.
-        auto a = bytes.fetch(layout.nodes[v].primary);
-        auto b = meta.fetch(layout.nodes[v].primary);
-        ASSERT_TRUE(a && b) << "node " << v;
-        EXPECT_EQ(a->node, v);
-        EXPECT_EQ(a->node, b->node);
-        EXPECT_EQ(a->type, b->type);
-        EXPECT_EQ(a->totalNeighbors, b->totalNeighbors);
-        EXPECT_EQ(a->inPage, b->inPage);
-        ASSERT_EQ(a->secondaries.size(), b->secondaries.size());
-        for (std::size_t j = 0; j < a->secondaries.size(); ++j) {
-            EXPECT_EQ(a->secondaries[j].addr, b->secondaries[j].addr);
-            EXPECT_EQ(a->secondaries[j].count, b->secondaries[j].count);
-        }
-        ASSERT_EQ(a->neighborAddrs.size(), b->neighborAddrs.size());
-        for (std::size_t j = 0; j < a->neighborAddrs.size(); ++j)
-            EXPECT_EQ(a->neighborAddrs[j], b->neighborAddrs[j]);
-        // Secondary sections too.
-        for (const auto &r : layout.nodes[v].secondaries) {
-            auto sa = bytes.fetch(r.addr);
-            auto sb = meta.fetch(r.addr);
-            ASSERT_TRUE(sa && sb);
-            EXPECT_EQ(sa->node, v);
-            EXPECT_EQ(sa->totalNeighbors, sb->totalNeighbors);
-            ASSERT_EQ(sa->neighborAddrs.size(), sb->neighborAddrs.size());
-            for (std::size_t j = 0; j < sa->neighborAddrs.size(); ++j)
-                EXPECT_EQ(sa->neighborAddrs[j], sb->neighborAddrs[j]);
-        }
+TEST(Builder, SectionsStayEncodableOnLargePages)
+{
+    // sectionBytes is a 16-bit header field: on pages of 64 KiB and
+    // more, a degree-20,000 hub (80 KB of addresses) must still be
+    // cut into sections the byte decoder reads back exactly.
+    for (std::uint32_t page_kb : {64u, 128u}) {
+        SCOPED_TRACE(page_kb);
+        flash::FlashConfig cfg = smallFlash();
+        cfg.pageSize = page_kb * 1024;
+        graph::Graph g = graph::generateRing(50, 20000);
+        graph::FeatureTable feat(32, 5);
+        auto blocks = reserve(cfg, 64);
+        DirectGraphLayout layout = buildLayout(g, feat, cfg, blocks);
+        ASSERT_EQ(checkLayoutInvariants(layout), "");
+        for (const auto &[ppa, sections] : layout.pages)
+            for (const auto &sp : sections)
+                EXPECT_LE(sp.byteSize, kMaxSectionBytes);
+        EXPECT_EQ(layout.stats.nodesWithSecondaries, 50u);
+
+        flash::PageStore store(cfg);
+        materialize(layout, g, feat, store);
+        expectSourcesAgree(layout, g, store, feat.dim());
     }
 }
 
@@ -310,7 +356,7 @@ TEST(Verifier, AcceptsOwnPagesRejectsForeign)
     materialize(layout, g, feat, store);
 
     AddressVerifier verifier(layout.blocks, cfg.pagesPerBlock);
-    for (const auto &[ppa, dir] : layout.pages) {
+    for (const auto &[ppa, sections] : layout.pages) {
         EXPECT_TRUE(verifier.pageAllowed(ppa));
         auto page = store.read(ppa);
         EXPECT_TRUE(verifier.pageImageSafe(ppa, page, feat.dim()));
@@ -367,7 +413,7 @@ TEST(Codec, FuzzDecodeNeverCrashes)
             page[0] = static_cast<std::uint8_t>(1 + round % 2);
         auto s0 = decodeSection(page, 0, 64);
         if (s0) {
-            EXPECT_LE(s0->neighborAddrs.size(), 4096u / 4);
+            EXPECT_LE(s0->neighborCount(), 4096u / 4);
         }
         for (unsigned idx = 0; idx < kMaxSectionsPerPage; idx += 5)
             (void)findSection(page, idx, 64);
@@ -389,6 +435,255 @@ TEST(Codec, FuzzTruncatedSections)
         std::span<const std::uint8_t> prefix(full.data(), cut);
         auto dec = decodeSection(prefix, 0, 16);
         EXPECT_FALSE(dec.has_value()) << "cut=" << cut;
+    }
+}
+
+} // namespace
+
+namespace {
+
+using namespace beacongnn;
+using namespace beacongnn::dg;
+
+/** Overwrite the little-endian u32 at @p off of @p page. */
+void
+poke32(std::vector<std::uint8_t> &page, std::uint32_t off, std::uint32_t v)
+{
+    for (unsigned b = 0; b < 4; ++b)
+        page[off + b] = static_cast<std::uint8_t>(v >> (8 * b));
+}
+
+/** A materialized layout with spilled hubs: primaries that carry both
+ *  in-page neighbours and secondary refs, plus secondary sections. */
+struct SpilledGraph
+{
+    flash::FlashConfig cfg = smallFlash();
+    graph::Graph g;
+    graph::FeatureTable feat{16, 3};
+    DirectGraphLayout layout;
+    flash::PageStore store{cfg};
+
+    explicit SpilledGraph(std::uint64_t skip_blocks = 0)
+    {
+        // Three hubs of 1,100-2,500 neighbours spill past a 4 KiB
+        // page; the other nodes share pages.
+        sim::Pcg32 rng(11);
+        std::vector<std::vector<graph::NodeId>> adj(300);
+        for (graph::NodeId v = 0; v < adj.size(); ++v) {
+            std::uint32_t degree = v < 3 ? 2500 - 700 * v : rng.next() % 60;
+            for (std::uint32_t i = 0; i < degree; ++i)
+                adj[v].push_back(rng.next() % 300);
+        }
+        g = graph::Graph(adj);
+        ssd::Ftl ftl(cfg);
+        if (skip_blocks > 0)
+            ftl.reserveBlocks(skip_blocks);
+        layout = buildLayout(g, feat, cfg, ftl.reserveBlocks(200));
+        materialize(layout, g, feat, store);
+    }
+
+    /** A node whose primary holds in-page neighbours and secondaries. */
+    graph::NodeId
+    hub() const
+    {
+        for (graph::NodeId v = 0; v < g.numNodes(); ++v)
+            if (layout.nodes[v].inPage > 0 &&
+                !layout.nodes[v].secondaries.empty())
+                return v;
+        return g.numNodes();
+    }
+};
+
+/** Read every entry a view exposes; @return a checksum of them. */
+std::uint64_t
+touchAll(const SectionData &s)
+{
+    std::uint64_t sum = s.node;
+    for (std::uint32_t j = 0; j < s.secondaries.size(); ++j)
+        sum += s.secondaries[j].addr.raw + s.secondaries[j].count;
+    for (std::uint32_t i = 0; i < s.neighborCount(); ++i)
+        sum += s.neighborAt(i).raw;
+    return sum;
+}
+
+TEST(LazyView, CorruptedPagesStayMemorySafe)
+{
+    // Seeded byte mutation of real page images. Every view that still
+    // decodes is read in full — each neighbour, each secondary ref —
+    // and run through the die sampler; the ASan/UBSan builds turn any
+    // read outside the page into a failure.
+    SpilledGraph sg;
+    std::vector<flash::Ppa> ppas;
+    for (const auto &page : sg.layout.pages)
+        ppas.push_back(page.ppa);
+    ASSERT_GE(ppas.size(), 8u);
+
+    engines::DieSampler sampler(ssd::EngineConfig{},
+                                flash::GnnGlobalConfig{});
+    flash::PageStore mutated(sg.cfg);
+    PageByteSource source(mutated, sg.feat.dim());
+    sim::Pcg32 rng(0xBEAC);
+    std::uint64_t decoded = 0, checksum = 0;
+    for (flash::Ppa round = 0; round < 600; ++round) {
+        flash::Ppa src = ppas[rng.next() % ppas.size()];
+        auto orig = sg.store.read(src);
+        // An exactly-sized copy, so reads past the page end trap.
+        std::vector<std::uint8_t> page(orig.begin(), orig.end());
+        auto secs = sg.layout.pages.sectionsOf(src);
+        unsigned flips = 1 + rng.next() % 8;
+        for (unsigned k = 0; k < flips; ++k) {
+            // Half the hits land in a section header, where they
+            // reach the size and count fields.
+            std::uint32_t off =
+                rng.next() % 2 == 0
+                    ? secs[rng.next() % secs.size()].byteOffset +
+                          rng.next() % kHeaderBytes
+                    : rng.next() % sg.cfg.pageSize;
+            page[off] = static_cast<std::uint8_t>(rng.next());
+        }
+
+        for (const auto &s : decodePage(page, sg.feat.dim())) {
+            checksum += touchAll(s);
+            ++decoded;
+        }
+        ASSERT_TRUE(mutated.program(round, page));
+        for (unsigned idx = 0; idx < kMaxSectionsPerPage; ++idx) {
+            auto view = findSection(page, idx, sg.feat.dim());
+            auto fetched = source.fetch(DgAddress(round, idx));
+            ASSERT_EQ(view.has_value(), fetched.has_value());
+            if (!view)
+                continue;
+            EXPECT_EQ(touchAll(*view), touchAll(*fetched));
+            flash::GnnSampleParams p;
+            p.isSecondary = view->type == SectionType::Secondary;
+            p.sampleCount = 255;
+            p.batchId = round;
+            (void)sampler.execute(fetched, p);
+        }
+    }
+    // The mutations must leave most sections decodable, or the view
+    // accessors were never exercised.
+    EXPECT_GT(decoded, 1000u);
+    EXPECT_NE(checksum, 0u);
+}
+
+TEST(LazyView, HugeSecondaryCountIsRejected)
+{
+    // A count whose byte size wraps 32 bits onto the real section size
+    // (0x40000000 * 4 = 2^32) must not decode into a view that claims
+    // a billion stored neighbours.
+    std::vector<std::uint8_t> page(4096, 0);
+    std::vector<DgAddress> one = {DgAddress(1, 0)};
+    encodeSecondary(page, 5, one);
+    poke32(page, 8, 0x40000000u);
+    page[2] = static_cast<std::uint8_t>(kHeaderBytes);
+    page[3] = 0;
+    EXPECT_FALSE(decodeSection(page, 0, 0).has_value());
+    EXPECT_TRUE(decodePage(page, 0).empty());
+}
+
+TEST(PageDirectory, MissesReturnNulloptAndAbort)
+{
+    // Blocks reserved after a gap, so there are pages below the first.
+    SpilledGraph sg(/*skip_blocks=*/8);
+    const DirectGraphLayout &layout = sg.layout;
+    ASSERT_FALSE(layout.pages.empty());
+    flash::Ppa lo = (*layout.pages.begin()).ppa;
+    flash::Ppa hi = lo;
+    std::size_t used = 0;
+    for (const auto &page : layout.pages) {
+        EXPECT_GE(page.ppa, hi); // Ppa order.
+        hi = page.ppa;
+        ++used;
+    }
+    EXPECT_EQ(used, layout.pages.size());
+    ASSERT_GT(lo, 0u);
+
+    // An unprogrammed page inside the range, and a used page with
+    // fewer than 16 sections.
+    std::optional<flash::Ppa> hole;
+    std::optional<DgAddress> past_count;
+    for (flash::Ppa p = lo; p <= hi; ++p) {
+        auto secs = layout.pages.sectionsOf(p);
+        if (secs.empty() && !hole)
+            hole = p;
+        if (!secs.empty() && secs.size() < kMaxSectionsPerPage &&
+            !past_count)
+            past_count = DgAddress(p, static_cast<unsigned>(secs.size()));
+    }
+    ASSERT_TRUE(hole && past_count);
+
+    LayoutSource meta(layout, sg.g);
+    PageByteSource bytes(sg.store, sg.feat.dim());
+    engines::DieSampler sampler(ssd::EngineConfig{},
+                                flash::GnnGlobalConfig{});
+    const DgAddress misses[] = {
+        DgAddress(lo - 1, 0), DgAddress(0, 0),  // Below the first page.
+        DgAddress(hi + 1, 0),                  // Past the last page.
+        DgAddress((1u << 28) - 1, 15),
+        DgAddress(*hole, 0),                   // Unprogrammed, in range.
+        *past_count,                           // Section >= count.
+        DgAddress(past_count->page(), 15),
+    };
+    for (DgAddress a : misses) {
+        SCOPED_TRACE(a.raw);
+        EXPECT_EQ(layout.find(a), nullptr);
+        auto m = meta.fetch(a);
+        auto b = bytes.fetch(a);
+        EXPECT_FALSE(m.has_value());
+        EXPECT_FALSE(b.has_value());
+        flash::GnnSampleParams p;
+        p.ppa = a.page();
+        p.sectionIndex = static_cast<std::uint8_t>(a.section());
+        p.sampleCount = 3;
+        EXPECT_FALSE(sampler.execute(m, p).ok);
+        EXPECT_FALSE(sampler.execute(b, p).ok);
+    }
+    EXPECT_EQ(sampler.aborted(), 2 * std::size(misses));
+}
+
+TEST(Verifier, ChecksEveryEmbeddedAddress)
+{
+    // The flush check must cover every embedded address, not only
+    // those a sampler would pick: corrupting just the last one of
+    // each kind is enough to reject the page.
+    SpilledGraph sg;
+    graph::NodeId v = sg.hub();
+    ASSERT_LT(v, sg.g.numNodes());
+    const NodeLayout &nl = sg.layout.nodes[v];
+    AddressVerifier verifier(sg.layout.blocks, sg.cfg.pagesPerBlock);
+    const std::uint32_t foreign =
+        DgAddress(static_cast<flash::Ppa>(sg.cfg.totalPages() - 1), 0).raw;
+    ASSERT_FALSE(verifier.addressAllowed(DgAddress(foreign)));
+
+    auto expect_rejected = [&](DgAddress section, std::uint32_t field_off) {
+        const SectionPlacement *sp = sg.layout.find(section);
+        ASSERT_NE(sp, nullptr);
+        auto orig = sg.store.read(section.page());
+        std::vector<std::uint8_t> page(orig.begin(), orig.end());
+        ASSERT_TRUE(
+            verifier.pageImageSafe(section.page(), page, sg.feat.dim()));
+        poke32(page, sp->byteOffset + field_off, foreign);
+        EXPECT_FALSE(
+            verifier.pageImageSafe(section.page(), page, sg.feat.dim()));
+    };
+
+    const SectionPlacement *prim = sg.layout.find(nl.primary);
+    ASSERT_NE(prim, nullptr);
+    const auto n_secs = static_cast<std::uint32_t>(nl.secondaries.size());
+    {
+        SCOPED_TRACE("last in-page neighbour");
+        expect_rejected(nl.primary, prim->byteSize - kAddrBytes);
+    }
+    {
+        SCOPED_TRACE("last secondary ref");
+        expect_rejected(nl.primary,
+                        kHeaderBytes + (n_secs - 1) * kSecondaryRefBytes);
+    }
+    {
+        SCOPED_TRACE("last entry of a secondary section");
+        DgAddress last = nl.secondaries.back().addr;
+        expect_rejected(last, sg.layout.find(last)->byteSize - kAddrBytes);
     }
 }
 

@@ -206,8 +206,8 @@ TEST_F(FirmwareTest, FlushWritesAndVerifies)
     EXPECT_EQ(store->programmedPages(), layout.pages.size());
 
     // All flushed pages pass ECC.
-    for (const auto &[ppa, dir] : layout.pages)
-        EXPECT_TRUE(fw->ecc().check(ppa, store->read(ppa)));
+    for (const auto &page : layout.pages)
+        EXPECT_TRUE(fw->ecc().check(page.ppa, store->read(page.ppa)));
 }
 
 TEST_F(FirmwareTest, FlushRejectsUnreservedDestination)

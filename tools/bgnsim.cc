@@ -22,6 +22,8 @@
  */
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -109,6 +111,29 @@ usage(const char *argv0)
     std::exit(2);
 }
 
+/**
+ * Parse @p text, the value of @p flag, as a plain unsigned decimal in
+ * [lo, hi]. Anything else (a sign, trailing junk, an out-of-range or
+ * overflowing value) exits 2 with a reason, so no narrowing cast
+ * downstream can wrap it.
+ */
+unsigned long
+flagInRange(const char *flag, const char *text, unsigned long lo,
+            unsigned long hi)
+{
+    unsigned long v = 0;
+    const char *last = text + std::strlen(text);
+    auto [ptr, ec] = std::from_chars(text, last, v);
+    if (ptr == text || ptr != last || ec != std::errc() || v < lo ||
+        v > hi) {
+        std::fprintf(stderr, "bgnsim: %s must be an integer in %lu..%lu "
+                             "(got '%s')\n",
+                     flag, lo, hi, text);
+        std::exit(2);
+    }
+    return v;
+}
+
 } // namespace
 
 int
@@ -141,9 +166,9 @@ main(int argc, char **argv)
         else if (a == "--batch-size") rc.batchSize =
             static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
         else if (a == "--hops") model.hops = static_cast<std::uint8_t>(
-            std::strtoul(next(), nullptr, 10));
+            flagInRange("--hops", next(), 1, 255));
         else if (a == "--fanout") model.fanout = static_cast<std::uint8_t>(
-            std::strtoul(next(), nullptr, 10));
+            flagInRange("--fanout", next(), 1, 255));
         else if (a == "--model") {
             std::string n = next();
             auto k = gnn::findModelKind(n);
@@ -187,7 +212,8 @@ main(int argc, char **argv)
             static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
         else if (a == "--page-kb") rc.system.flash.pageSize =
             static_cast<std::uint32_t>(
-                std::strtoul(next(), nullptr, 10)) * 1024;
+                flagInRange("--page-kb", next(), 1, UINT32_MAX / 1024)) *
+            1024;
         else if (a == "--channel-mbps") rc.system.flash.channelMBps =
             std::strtod(next(), nullptr);
         else if (a == "--traditional")
