@@ -9,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -41,6 +42,57 @@ BM_EventQueue(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_EventQueue);
+
+/**
+ * One event of the deep-heap hold model: a 64-byte capture (the whole
+ * InlineCallback buffer) that reschedules a copy of itself 1..4096
+ * ticks later, so the pending count never changes.
+ */
+struct HoldEvent
+{
+    sim::EventQueue *q;
+    std::uint64_t *fired;
+    std::array<std::uint64_t, 6> payload;
+
+    void
+    operator()()
+    {
+        ++*fired;
+        HoldEvent next = *this;
+        next.payload[0] =
+            payload[0] * 6364136223846793005ull + 1442695040888963407ull;
+        q->schedule(1 + (next.payload[0] >> 52), next);
+    }
+};
+static_assert(sizeof(HoldEvent) == sim::InlineCallback::kInlineSize);
+
+/**
+ * The event heap at the depth bg2_amazon reaches (~16 k pending
+ * events, 14 heap levels) with full 64-byte captures, next to
+ * BM_EventQueue's shallow build-then-drain of 10 k small events. For
+ * diagnosing the event kernel; no gate rests on it.
+ */
+void
+BM_EventQueueDeep(benchmark::State &state)
+{
+    constexpr std::uint64_t kPending = 16384;
+    sim::EventQueue q;
+    std::uint64_t fired = 0;
+    for (std::uint64_t i = 0; i < kPending; ++i) {
+        HoldEvent e{&q, &fired, {}};
+        e.payload[0] = (i + 1) * 0x9E3779B97F4A7C15ull;
+        q.schedule(1 + (e.payload[0] >> 52), e);
+    }
+    const std::uint64_t fired0 = fired;
+    for (auto _ : state) {
+        const std::uint64_t stop = fired + kPending;
+        while (fired < stop)
+            q.runUntil(q.nextTime());
+    }
+    benchmark::DoNotOptimize(fired);
+    state.SetItemsProcessed(static_cast<std::int64_t>(fired - fired0));
+}
+BENCHMARK(BM_EventQueueDeep);
 
 /**
  * Replica of the pre-InlineCallback event kernel (std::function
@@ -260,6 +312,7 @@ BM_DieSampler(benchmark::State &state)
     flash::GnnGlobalConfig gcfg;
     engines::DieSampler sampler(ecfg, gcfg);
     std::uint64_t node = 0;
+    flash::GnnSampleResult r;
     for (auto _ : state) {
         flash::GnnSampleParams p;
         dg::DgAddress a = layout.primaryOf(
@@ -268,7 +321,7 @@ BM_DieSampler(benchmark::State &state)
         p.sectionIndex = static_cast<std::uint8_t>(a.section());
         p.sampleCount = 3;
         p.retrieveFeature = true;
-        auto r = sampler.execute(src.fetch(a), p);
+        sampler.execute(src.fetch(a), p, r);
         benchmark::DoNotOptimize(r.follow.size());
     }
     state.SetItemsProcessed(state.iterations());

@@ -4,11 +4,12 @@
 
 namespace beacongnn::engines {
 
-flash::GnnSampleResult
+void
 DieSampler::executeImpl(const std::optional<dg::SectionData> &section,
-                        const flash::GnnSampleParams &params) const
+                        const flash::GnnSampleParams &params,
+                        flash::GnnSampleResult &res) const
 {
-    flash::GnnSampleResult res;
+    res.clear();
     res.hop = params.hop;
     res.batchId = params.batchId;
     res.parentSlot = params.parentSlot;
@@ -18,7 +19,7 @@ DieSampler::executeImpl(const std::optional<dg::SectionData> &section,
     // control back to the firmware.
     if (!section) {
         res.ok = false;
-        return res;
+        return;
     }
     const dg::SectionData &s = *section;
     bool expect_secondary = params.isSecondary;
@@ -26,7 +27,7 @@ DieSampler::executeImpl(const std::optional<dg::SectionData> &section,
     if (s.type == dg::SectionType::Invalid ||
         expect_secondary != is_secondary) {
         res.ok = false;
-        return res;
+        return;
     }
     res.nodeId = s.node;
 
@@ -59,27 +60,26 @@ DieSampler::executeImpl(const std::optional<dg::SectionData> &section,
             res.featureBytes = gcfg.featureBytes();
         }
         if (params.finalHop || params.sampleCount == 0)
-            return res;
+            return;
 
-        gnn::PrimaryDraws draws = gnn::drawPrimary(
-            gcfg.seed, params.batchId, params.hop, s.node,
-            params.sampleCount, s.totalNeighbors, s.inPage,
-            s.secondaries);
+        gnn::PrimaryDraws draws;
+        gnn::drawPrimary(gcfg.seed, params.batchId, params.hop, s.node,
+                         params.sampleCount, s.totalNeighbors, s.inPage,
+                         s.secondaries, draws);
         // Resolve only the picked neighbours.
-        for (std::uint32_t pick : draws.inPagePicks)
+        for (std::uint32_t pick : draws.inPagePicks())
             make_child(s.neighborAt(pick));
-        for (std::size_t j = 0; j < draws.secondaryHits.size(); ++j) {
-            std::uint32_t hits = draws.secondaryHits[j];
-            if (hits == 0)
-                continue;
+        for (const gnn::PrimaryDraws::SecondaryHits &h :
+             draws.secondaryHits()) {
+            const std::uint32_t j = h.secondary;
+            const std::uint32_t hits = h.hits;
             // Commands for the same secondary section coalesce into
             // one carrying the hit count (§V-A). The ablation mode
             // issues one single-draw command per hit instead — same
             // picks (drawSecondary is keyed by draw index), more
             // flash reads.
             std::uint32_t per_cmd = opts.coalesceSecondary ? hits : 1;
-            const dg::DgAddress sec_addr =
-                s.secondaries[static_cast<std::uint32_t>(j)].addr;
+            const dg::DgAddress sec_addr = s.secondaries[j].addr;
             for (std::uint32_t first = 0; first < hits;
                  first += per_cmd) {
                 flash::EmittedCommand c;
@@ -101,14 +101,15 @@ DieSampler::executeImpl(const std::optional<dg::SectionData> &section,
         }
     } else {
         // Secondary section: re-draw within the section only.
-        auto picks = gnn::drawSecondary(
-            gcfg.seed, params.batchId, params.hop, s.node,
-            params.secondaryOrdinal, params.firstDraw,
-            params.sampleCount, s.totalNeighbors);
+        std::array<std::uint32_t, gnn::kMaxDraws> buf;
+        std::span<std::uint32_t> picks =
+            std::span(buf).first(params.sampleCount);
+        gnn::drawSecondary(gcfg.seed, params.batchId, params.hop, s.node,
+                           params.secondaryOrdinal, params.firstDraw,
+                           s.totalNeighbors, picks);
         for (std::uint32_t idx : picks)
             make_child(s.neighborAt(idx));
     }
-    return res;
 }
 
 } // namespace beacongnn::engines

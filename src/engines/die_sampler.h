@@ -82,19 +82,23 @@ class DieSampler
      *
      * @param section Decoded content (nullopt = missing -> abort).
      * @param params  Command parameters.
-     * @return Result frame including follow-up commands. Follow-up
-     *         parentSlot fields are left 0 for the engine to assign.
+     * @param out     Result frame including follow-up commands,
+     *                overwritten. Owned by the caller and meant to be
+     *                reused: its follow list keeps its capacity, so a
+     *                warm frame costs no allocation. Follow-up
+     *                parentSlot fields are left 0 for the engine to
+     *                assign.
      */
-    flash::GnnSampleResult
+    void
     execute(const std::optional<dg::SectionData> &section,
-            const flash::GnnSampleParams &params) const
+            const flash::GnnSampleParams &params,
+            flash::GnnSampleResult &out) const
     {
-        flash::GnnSampleResult r = executeImpl(section, params);
+        executeImpl(section, params, out);
         ++_executed;
-        if (!r.ok)
+        if (!out.ok)
             ++_aborted;
-        _emitted += r.follow.size();
-        return r;
+        _emitted += out.follow.size();
     }
 
     /** Commands executed / aborted (§VI-E) / follow-ups emitted. */
@@ -122,9 +126,9 @@ class DieSampler
     }
 
   private:
-    flash::GnnSampleResult
-    executeImpl(const std::optional<dg::SectionData> &section,
-                const flash::GnnSampleParams &params) const;
+    void executeImpl(const std::optional<dg::SectionData> &section,
+                     const flash::GnnSampleParams &params,
+                     flash::GnnSampleResult &res) const;
 
     ssd::EngineConfig ecfg;
     flash::GnnGlobalConfig gcfg;

@@ -229,6 +229,7 @@ GnnEngine::GnnEngine(std::vector<DevicePort> ports_,
     laneFallbacks.assign(ndev, 0);
     hostRouted.assign(ndev, 0);
     laneHealth.assign(ndev, DeviceHealth{});
+    laneResults.resize(ndev);
 }
 
 GnnEngine::~GnnEngine() = default;
@@ -703,9 +704,9 @@ GnnEngine::streamCommand(const std::shared_ptr<Batch> &b,
     }
     if (!in_dram && port.cache)
         in_dram = port.cache->lookup(self_addr.raw);
+    flash::GnnSampleResult &result = laneResults[dev];
     if (in_dram) {
-        flash::GnnSampleResult result =
-            sampler.execute(source.fetch(self_addr), params);
+        sampler.execute(source.fetch(self_addr), params, result);
         sim::Grant mem = fw.dram().acquire(std::max(ready, *in_dram),
                                            result.frameBytes());
         lane.tally.dramBytes += result.frameBytes();
@@ -746,8 +747,7 @@ GnnEngine::streamCommand(const std::shared_ptr<Batch> &b,
                      span_id, dispatched);
 
     // ---- Functional sampling ---------------------------------------
-    flash::GnnSampleResult result =
-        sampler.execute(source.fetch(self_addr), params);
+    sampler.execute(source.fetch(self_addr), params, result);
 
     bool die_sampling = _flags.sampling == SamplingLoc::Die;
     std::uint32_t transfer_bytes =
@@ -1182,7 +1182,8 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
                 static_cast<unsigned>(std::min<unsigned>(hop, 255)));
 
             auto section = source.fetch(primary);
-            flash::GnnSampleResult r = sampler.execute(section, p);
+            flash::GnnSampleResult &r = laneResults[0];
+            sampler.execute(section, p, r);
             if (!r.ok) {
                 ++lane.tally.abortedCommands;
                 lane.ok = false;
@@ -1268,7 +1269,8 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
     for (const auto &pc : pending_continuations) {
         auto csec = source.fetch(
             dg::DgAddress(pc.params.ppa, pc.params.sectionIndex));
-        flash::GnnSampleResult cr = sampler.execute(csec, pc.params);
+        flash::GnnSampleResult &cr = laneResults[0];
+        sampler.execute(csec, pc.params, cr);
         if (!cr.ok) {
             ++lane.tally.abortedCommands;
             lane.ok = false;

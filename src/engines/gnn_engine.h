@@ -433,6 +433,12 @@ class GnnEngine
      *  device measures its own completions, so entry d is touched
      *  only by d's worker thread. */
     std::vector<DeviceHealth> laneHealth; // bgnlint:lane-owned
+    /** Per-device sampler result frame, reused by every command the
+     *  device executes (its follow list keeps its capacity, so a
+     *  command costs no allocation). A frame is consumed before the
+     *  device's next command runs; entry d is touched only by d's
+     *  worker thread. */
+    std::vector<flash::GnnSampleResult> laneResults; // bgnlint:lane-owned
     /** Checked-build hooks (DESIGN.md §16); unused when off. */
     sim::Validator *validator = nullptr;
     /** Batches awaiting completePrepared(). */

@@ -98,9 +98,9 @@ struct EmittedCommand
 
 /**
  * Result frame of a sampling command (Fig. 13, "sampling results"):
- * header + retrieved feature vector (primary sections only) + the
- * in-page sampled neighbour addresses + follow-up commands for
- * neighbours resolved to other pages/sections.
+ * header + retrieved feature vector (primary sections only) +
+ * follow-up commands for the sampled neighbours (next-hop primaries
+ * and coalesced secondary continuations).
  */
 struct GnnSampleResult
 {
@@ -111,13 +111,22 @@ struct GnnSampleResult
     std::uint32_t parentSlot = 0;
     bool featureIncluded = false;
     std::uint32_t featureBytes = 0;
-    /** Sampled neighbour node ids (for subgraph reconstruction). */
-    std::vector<std::uint64_t> sampledNodes;
     /** Follow-up commands to route (next-hop / secondary reads). */
     std::vector<EmittedCommand> follow;
     /** Per-edge coefficient payload bytes (GAT attention logits
      *  computed beside the sampler); zero for sum-style models. */
     std::uint32_t edgeCoeffBytes = 0;
+
+    /** Reset to an empty ok frame, keeping the follow list's
+     *  capacity (a reused frame costs no allocation). */
+    void
+    clear()
+    {
+        std::vector<EmittedCommand> keep = std::move(follow);
+        keep.clear();
+        *this = GnnSampleResult{};
+        follow = std::move(keep);
+    }
 
     /** Frame size on the channel bus, in bytes (header = 16 B). */
     std::uint32_t
@@ -126,7 +135,6 @@ struct GnnSampleResult
         std::uint32_t b = 16;
         if (featureIncluded)
             b += featureBytes;
-        b += static_cast<std::uint32_t>(sampledNodes.size()) * 4;
         b += static_cast<std::uint32_t>(follow.size()) * 12;
         b += edgeCoeffBytes;
         return b;

@@ -312,11 +312,15 @@ measureCompute(const Subgraph &sg, const ModelConfig &m)
             t += counts[i];
         return t;
     };
-    auto children = sg.childrenIndex();
+    // Children per parent hop, counted straight from the parent links.
     std::vector<std::uint64_t> child_elems(m.hops + 1, 0);
-    for (Slot s = 0; s < sg.size(); ++s)
-        if (sg[s].hop <= m.hops)
-            child_elems[sg[s].hop] += children[s].size();
+    for (const SubgraphEntry &e : sg.all()) {
+        if (e.parent == kNoParent)
+            continue;
+        const std::uint8_t parent_hop = sg[e.parent].hop;
+        if (parent_hop <= m.hops)
+            ++child_elems[parent_hop];
+    }
 
     for (unsigned l = 1; l <= m.hops; ++l) {
         unsigned max_hop = m.hops - l;

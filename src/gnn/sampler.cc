@@ -1,53 +1,69 @@
 #include "gnn/sampler.h"
 
+#include <algorithm>
+
 #include "sim/rng.h"
 
 namespace beacongnn::gnn {
 
-PrimaryDraws
+void
 drawPrimary(std::uint64_t seed, std::uint64_t batch, std::uint8_t hop,
             graph::NodeId node, std::uint8_t fanout, std::uint32_t degree,
-            std::uint32_t in_page, dg::SecondaryRefs secondaries)
+            std::uint32_t in_page, dg::SecondaryRefs secondaries,
+            PrimaryDraws &out)
 {
-    PrimaryDraws out;
-    out.secondaryHits.assign(secondaries.size(), 0);
+    out.inPageCount = 0;
+    out.secondaryCount = 0;
     if (degree == 0)
-        return out;
+        return;
     for (std::uint8_t i = 0; i < fanout; ++i) {
         auto r = static_cast<std::uint32_t>(
             sim::keyedBelow(seed, batch, hop, node, i, degree));
         if (r < in_page) {
-            out.inPagePicks.push_back(r);
+            out.inPage[out.inPageCount++] = r;
+            continue;
+        }
+        // Locate the secondary section covering index r.
+        std::uint32_t start = in_page;
+        std::uint32_t j = 0;
+        for (; j < secondaries.size(); ++j) {
+            if (r < start + secondaries[j].count)
+                break;
+            start += secondaries[j].count;
+        }
+        if (j == secondaries.size())
+            continue; // Not covered by any secondary: no command.
+        // Count the hit, keeping the list ordered by section index.
+        PrimaryDraws::SecondaryHits *first = out.secondary.data();
+        PrimaryDraws::SecondaryHits *last = first + out.secondaryCount;
+        PrimaryDraws::SecondaryHits *at = std::lower_bound(
+            first, last, j,
+            [](const PrimaryDraws::SecondaryHits &h, std::uint32_t idx) {
+                return h.secondary < idx;
+            });
+        if (at != last && at->secondary == j) {
+            ++at->hits;
         } else {
-            // Locate the secondary section covering index r.
-            std::uint32_t start = in_page;
-            for (std::uint32_t j = 0; j < secondaries.size(); ++j) {
-                if (r < start + secondaries[j].count) {
-                    ++out.secondaryHits[j];
-                    break;
-                }
-                start += secondaries[j].count;
-            }
+            std::move_backward(at, last, last + 1);
+            *at = {j, 1};
+            ++out.secondaryCount;
         }
     }
-    return out;
 }
 
-std::vector<std::uint32_t>
+void
 drawSecondary(std::uint64_t seed, std::uint64_t batch, std::uint8_t hop,
               graph::NodeId node, std::uint32_t secondary_idx,
-              std::uint32_t first_draw, std::uint32_t count,
-              std::uint32_t section_size)
+              std::uint32_t first_draw, std::uint32_t section_size,
+              std::span<std::uint32_t> picks)
 {
-    std::vector<std::uint32_t> picks;
-    picks.reserve(count);
-    for (std::uint32_t t = first_draw; t < first_draw + count; ++t) {
+    for (std::uint32_t t = 0; t < picks.size(); ++t) {
         std::uint32_t draw = kSecondaryDrawBase +
-                             secondary_idx * kSecondaryDrawStride + t;
-        picks.push_back(static_cast<std::uint32_t>(sim::keyedBelow(
-            seed, batch, hop, node, draw, section_size)));
+                             secondary_idx * kSecondaryDrawStride +
+                             first_draw + t;
+        picks[t] = static_cast<std::uint32_t>(sim::keyedBelow(
+            seed, batch, hop, node, draw, section_size));
     }
-    return picks;
 }
 
 namespace {
@@ -107,24 +123,23 @@ layoutSample(const graph::Graph &g, const dg::DirectGraphLayout &layout,
         if (nl.degree == 0)
             return out;
         const std::uint8_t fan = m.fanoutAt(hop);
-        PrimaryDraws d = drawPrimary(m.seed, batch, hop, v, fan,
-                                     nl.degree, nl.inPage, nl.secondaries);
+        PrimaryDraws d;
+        drawPrimary(m.seed, batch, hop, v, fan, nl.degree, nl.inPage,
+                    nl.secondaries, d);
         out.reserve(fan);
-        for (std::uint32_t r : d.inPagePicks)
+        for (std::uint32_t r : d.inPagePicks())
             out.push_back(g.neighbor(v, r));
-        for (std::size_t j = 0; j < d.secondaryHits.size(); ++j) {
-            std::uint32_t c = d.secondaryHits[j];
-            if (c == 0)
-                continue;
+        std::array<std::uint32_t, kMaxDraws> buf;
+        for (const PrimaryDraws::SecondaryHits &h : d.secondaryHits()) {
             std::uint32_t start = nl.inPage;
-            for (std::size_t k = 0; k < j; ++k)
+            for (std::uint32_t k = 0; k < h.secondary; ++k)
                 start += nl.secondaries[k].count;
-            for (std::uint32_t idx : drawSecondary(
-                     m.seed, batch, hop, v,
-                     static_cast<std::uint32_t>(j), 0, c,
-                     nl.secondaries[j].count)) {
+            std::span<std::uint32_t> picks =
+                std::span(buf).first(h.hits);
+            drawSecondary(m.seed, batch, hop, v, h.secondary, 0,
+                          nl.secondaries[h.secondary].count, picks);
+            for (std::uint32_t idx : picks)
                 out.push_back(g.neighbor(v, start + idx));
-            }
         }
         return out;
     };

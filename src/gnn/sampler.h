@@ -24,6 +24,7 @@
 #ifndef BEACONGNN_GNN_SAMPLER_H
 #define BEACONGNN_GNN_SAMPLER_H
 
+#include <array>
 #include <cstdint>
 #include <span>
 
@@ -59,42 +60,75 @@ Subgraph layoutSample(const graph::Graph &g,
                       const ModelConfig &m, std::uint64_t batch,
                       std::span<const graph::NodeId> targets);
 
+/** Most draws one command makes: the model fanout and a command's
+ *  sample count are 8-bit. */
+inline constexpr std::size_t kMaxDraws = 255;
+
 /**
- * The primary-section sampling kernel shared by layoutSample() and
- * the die-level sampler model: draw @p m.fanout indices over
- * [0, degree), return the in-page picks directly and the per-
- * secondary-section hit counts for coalesced continuation commands.
+ * Result storage of the primary-section sampling kernel, owned by the
+ * caller (a stack object on the hot path: no heap). Both lists are
+ * bounded by the 8-bit fanout.
  */
 struct PrimaryDraws
 {
-    /** In-page picks: indices < inPage (resolve on this page). */
-    std::vector<std::uint32_t> inPagePicks;
-    /** Hits per secondary section (size = #secondaries). */
-    std::vector<std::uint32_t> secondaryHits;
+    /** Draws that landed in one secondary section. */
+    struct SecondaryHits
+    {
+        std::uint32_t secondary; ///< Index into the node's secondaries.
+        std::uint32_t hits;
+    };
+
+    // Left uninitialized on purpose: drawPrimary() writes the first
+    // inPageCount / secondaryCount entries before anything reads them,
+    // and zeroing 3 KiB per command would cost more than the draws.
+    std::array<std::uint32_t, kMaxDraws> inPage;
+    std::array<SecondaryHits, kMaxDraws> secondary;
+    std::uint8_t inPageCount = 0;
+    std::uint8_t secondaryCount = 0;
+
+    /** In-page picks (indices < inPage, resolve on this page), in draw
+     *  order. */
+    std::span<const std::uint32_t>
+    inPagePicks() const
+    {
+        return {inPage.data(), inPageCount};
+    }
+
+    /** Secondary sections hit at least once, by ascending index. */
+    std::span<const SecondaryHits>
+    secondaryHits() const
+    {
+        return {secondary.data(), secondaryCount};
+    }
 };
 
-PrimaryDraws drawPrimary(std::uint64_t seed, std::uint64_t batch,
-                         std::uint8_t hop, graph::NodeId node,
-                         std::uint8_t fanout, std::uint32_t degree,
-                         std::uint32_t in_page,
-                         dg::SecondaryRefs secondaries);
+/**
+ * The primary-section sampling kernel shared by layoutSample() and
+ * the die-level sampler model: draw @p fanout indices over
+ * [0, degree) into @p out — the in-page picks directly, and per hit
+ * secondary section the hit count for one coalesced continuation
+ * command.
+ */
+void drawPrimary(std::uint64_t seed, std::uint64_t batch,
+                 std::uint8_t hop, graph::NodeId node,
+                 std::uint8_t fanout, std::uint32_t degree,
+                 std::uint32_t in_page, dg::SecondaryRefs secondaries,
+                 PrimaryDraws &out);
 
 /**
- * The secondary-section re-draw kernel: draw indices
- * [first_draw, first_draw + count) within a section of
- * @p section_size entries, keyed on the owning node, the hop and the
- * secondary index — so a coalesced command (first_draw = 0, count =
- * hits) and `hits` non-coalesced single-draw commands produce the
- * exact same picks (the coalescing ablation relies on this).
+ * The secondary-section re-draw kernel: write draws
+ * [first_draw, first_draw + picks.size()) within a section of
+ * @p section_size entries into @p picks, keyed on the owning node, the
+ * hop and the secondary index — so a coalesced command
+ * (first_draw = 0, picks.size() = hits) and `hits` non-coalesced
+ * single-draw commands produce the exact same picks (the coalescing
+ * ablation relies on this).
  */
-std::vector<std::uint32_t> drawSecondary(std::uint64_t seed,
-                                         std::uint64_t batch,
-                                         std::uint8_t hop,
-                                         graph::NodeId node,
-                                         std::uint32_t secondary_idx,
-                                         std::uint32_t first_draw,
-                                         std::uint32_t count,
-                                         std::uint32_t section_size);
+void drawSecondary(std::uint64_t seed, std::uint64_t batch,
+                   std::uint8_t hop, graph::NodeId node,
+                   std::uint32_t secondary_idx, std::uint32_t first_draw,
+                   std::uint32_t section_size,
+                   std::span<std::uint32_t> picks);
 
 } // namespace beacongnn::gnn
 

@@ -7,12 +7,15 @@
  * (time, insertion-order) order so simultaneous events execute in a
  * deterministic FIFO order — a requirement for reproducible runs.
  *
- * The hot path is allocation-free: callbacks are stored in a
- * small-buffer-optimized InlineCallback (no heap for typical
- * captures), the heap is a plain std::vector manipulated with
- * std::push_heap/std::pop_heap, and runUntil() moves each event out
- * of the queue instead of copying it (closures are executed exactly
- * once, so copyability is never needed).
+ * The hot path is allocation-free once the queue is warm, and moves
+ * each closure exactly twice. Callbacks are small-buffer-optimized
+ * InlineCallbacks (no heap for typical captures). Each one is parked
+ * once in a slot of a pool that recycles freed slots through a free
+ * list; the binary heap orders only small {when, order, slot} keys,
+ * so its sift steps copy 24-byte keys instead of relocating closures.
+ * runUntil() moves the callback out of its slot once and runs it.
+ * Because every key's (when, order) pair is unique, the pop order is
+ * the same total order whatever the heap's internal layout.
  */
 
 #ifndef BEACONGNN_SIM_EVENT_QUEUE_H
@@ -20,6 +23,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/inline_callback.h"
@@ -54,7 +58,7 @@ class EventQueue
     Tick
     schedule(Tick delay, Callback fn)
     {
-        return scheduleAt(_now + delay, std::move(fn));
+        return push(_now + delay, std::move(fn));
     }
 
     /**
@@ -66,21 +70,11 @@ class EventQueue
     Tick
     scheduleAt(Tick when, Callback fn)
     {
-        if constexpr (kCheckedBuild) {
-            // Before the clamp: a past-scheduled event is exactly
-            // what the checked build exists to catch.
-            if (_validator)
-                _validator->onSchedule(_station, when, _now);
-        }
-        if (when < _now)
-            when = _now;
-        events.push_back(Event{when, seq++, std::move(fn)});
-        std::push_heap(events.begin(), events.end(), Later{});
-        return when;
+        return push(when, std::move(fn));
     }
 
     /** Number of pending events. */
-    std::size_t pending() const { return events.size(); }
+    std::size_t pending() const { return keys.size(); }
 
     /** Timestamp of the earliest pending event (kTickMax if none).
      *  This is what a conservative parallel driver needs to compute
@@ -88,15 +82,17 @@ class EventQueue
     Tick
     nextTime() const
     {
-        return events.empty() ? kTickMax : events.front().when;
+        return keys.empty() ? kTickMax : keys.front().when;
     }
 
-    /** Pre-size the event heap to avoid growth reallocations. */
-    void reserve(std::size_t n) { events.reserve(n); }
-
-    /** Grow capacity by @p n more events beyond the current pending
-     *  count (bulk message delivery pre-sizes once, not per event). */
-    void reserveAdditional(std::size_t n) { events.reserve(events.size() + n); }
+    /** Pre-size the heap and the slot pool for @p n pending events. */
+    void
+    reserve(std::size_t n)
+    {
+        keys.reserve(n);
+        slots.reserve(n);
+        freeSlots.reserve(n);
+    }
 
     /** One pre-timed event of a bulkScheduleAt() batch. */
     struct TimedEvent
@@ -117,25 +113,19 @@ class EventQueue
     void
     bulkScheduleAt(std::vector<TimedEvent> batch)
     {
-        reserveAdditional(batch.size());
-        if (batch.size() >= 8 && batch.size() >= events.size() / 2) {
-            for (TimedEvent &e : batch) {
-                if constexpr (kCheckedBuild) {
-                    if (_validator)
-                        _validator->onSchedule(_station, e.when, _now);
-                }
-                events.push_back(Event{std::max(e.when, _now), seq++,
-                                       std::move(e.fn)});
-            }
-            std::make_heap(events.begin(), events.end(), Later{});
+        reserve(keys.size() + batch.size());
+        if (batch.size() >= 8 && batch.size() >= keys.size() / 2) {
+            for (TimedEvent &e : batch)
+                keys.push_back(park(e.when, std::move(e.fn)));
+            std::make_heap(keys.begin(), keys.end(), Later{});
         } else {
             for (TimedEvent &e : batch)
-                scheduleAt(e.when, std::move(e.fn));
+                push(e.when, std::move(e.fn));
         }
     }
 
-    /** Allocated heap capacity (events). */
-    std::size_t capacity() const { return events.capacity(); }
+    /** Events the heap holds without growing. */
+    std::size_t capacity() const { return keys.capacity(); }
 
     /**
      * Attach the checked-build validator, registering this queue as
@@ -168,49 +158,55 @@ class EventQueue
     Tick
     runUntil(Tick limit)
     {
-        while (!events.empty() && events.front().when <= limit) {
-            // Move the top event out before executing: the callback
-            // may schedule new events (invalidating references into
-            // the heap), and moving avoids copying the closure.
-            std::pop_heap(events.begin(), events.end(), Later{});
-            Event ev = std::move(events.back());
-            events.pop_back();
-            _now = ev.when;
+        while (!keys.empty() && keys.front().when <= limit) {
+            std::pop_heap(keys.begin(), keys.end(), Later{});
+            const Key k = keys.back();
+            keys.pop_back();
+            // Move the callback out before executing: it may schedule
+            // new events, which can grow (relocate) the slot pool and
+            // reuse the slot it has just freed.
+            Callback fn = std::move(slots[k.slot]);
+            freeSlots.push_back(k.slot);
+            _now = k.when;
             if constexpr (kCheckedBuild) {
                 if (_validator)
-                    _validator->onPop(_station, ev.when);
+                    _validator->onPop(_station, k.when);
             }
-            ev.fn();
+            fn();
         }
         return _now;
     }
 
     /**
-     * Drop all pending events and release the heap's memory (used
-     * between benchmark repetitions so one oversized run does not pin
-     * its peak allocation forever).
+     * Drop all pending events and release the heap's and the slot
+     * pool's memory (used between benchmark repetitions so one
+     * oversized run does not pin its peak allocation forever).
      */
     void
     clear()
     {
-        std::vector<Event>().swap(events);
+        std::vector<Key>().swap(keys);
+        std::vector<Callback>().swap(slots);
+        std::vector<std::uint32_t>().swap(freeSlots);
         _now = 0;
         seq = 0;
     }
 
   private:
-    struct Event
+    /** Heap entry: the event's order plus where its callback is
+     *  parked. */
+    struct Key
     {
         Tick when;
         std::uint64_t order;
-        Callback fn;
+        std::uint32_t slot;
     };
 
     /** Max-heap comparator: the *earliest* event wins the top slot. */
     struct Later
     {
         bool
-        operator()(const Event &a, const Event &b) const
+        operator()(const Key &a, const Key &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
@@ -218,7 +214,45 @@ class EventQueue
         }
     };
 
-    std::vector<Event> events;
+    /** Clamp @p when, park @p fn in a free slot and return its key
+     *  (not yet in the heap). */
+    Key
+    park(Tick when, Callback &&fn)
+    {
+        if constexpr (kCheckedBuild) {
+            // Before the clamp: a past-scheduled event is exactly
+            // what the checked build exists to catch.
+            if (_validator)
+                _validator->onSchedule(_station, when, _now);
+        }
+        std::uint32_t slot;
+        if (freeSlots.empty()) {
+            slot = static_cast<std::uint32_t>(slots.size());
+            slots.push_back(std::move(fn));
+        } else {
+            slot = freeSlots.back();
+            freeSlots.pop_back();
+            slots[slot] = std::move(fn);
+        }
+        return Key{std::max(when, _now), seq++, slot};
+    }
+
+    Tick
+    push(Tick when, Callback &&fn)
+    {
+        const Key k = park(when, std::move(fn));
+        keys.push_back(k);
+        std::push_heap(keys.begin(), keys.end(), Later{});
+        return k.when;
+    }
+
+    /** Binary heap of pending events, ordered by Later. */
+    std::vector<Key> keys;
+    /** Parked callbacks, indexed by Key::slot; freed slots hold empty
+     *  callbacks until reused. */
+    std::vector<Callback> slots;
+    /** Slots whose callback has run (LIFO, so a hot slot is reused). */
+    std::vector<std::uint32_t> freeSlots;
     Tick _now = 0;
     std::uint64_t seq = 0;
     /** Checked-build hooks (DESIGN.md §16); unused when off. */

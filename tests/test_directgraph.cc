@@ -520,6 +520,7 @@ TEST(LazyView, CorruptedPagesStayMemorySafe)
 
     engines::DieSampler sampler(ssd::EngineConfig{},
                                 flash::GnnGlobalConfig{});
+    flash::GnnSampleResult frame;
     flash::PageStore mutated(sg.cfg);
     PageByteSource source(mutated, sg.feat.dim());
     sim::Pcg32 rng(0xBEAC);
@@ -558,7 +559,7 @@ TEST(LazyView, CorruptedPagesStayMemorySafe)
             p.isSecondary = view->type == SectionType::Secondary;
             p.sampleCount = 255;
             p.batchId = round;
-            (void)sampler.execute(fetched, p);
+            sampler.execute(fetched, p, frame);
         }
     }
     // The mutations must leave most sections decodable, or the view
@@ -636,8 +637,11 @@ TEST(PageDirectory, MissesReturnNulloptAndAbort)
         p.ppa = a.page();
         p.sectionIndex = static_cast<std::uint8_t>(a.section());
         p.sampleCount = 3;
-        EXPECT_FALSE(sampler.execute(m, p).ok);
-        EXPECT_FALSE(sampler.execute(b, p).ok);
+        flash::GnnSampleResult r;
+        sampler.execute(m, p, r);
+        EXPECT_FALSE(r.ok);
+        sampler.execute(b, p, r);
+        EXPECT_FALSE(r.ok);
     }
     EXPECT_EQ(sampler.aborted(), 2 * std::size(misses));
 }

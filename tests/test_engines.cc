@@ -78,7 +78,8 @@ TEST(DieSampler, AbortsOnMissingSection)
     DieSampler s(rig.cfg.engine, rig.gnnCfg());
     flash::GnnSampleParams p;
     p.ppa = 12345; // Never programmed.
-    flash::GnnSampleResult r = s.execute(std::nullopt, p);
+    flash::GnnSampleResult r;
+    s.execute(std::nullopt, p, r);
     EXPECT_FALSE(r.ok);
     EXPECT_TRUE(r.follow.empty());
 }
@@ -96,7 +97,8 @@ TEST(DieSampler, AbortsOnTypeMismatch)
     p.sampleCount = 2;
     auto sec = rig.bytes->fetch(a);
     ASSERT_TRUE(sec.has_value());
-    flash::GnnSampleResult r = s.execute(sec, p);
+    flash::GnnSampleResult r;
+    s.execute(sec, p, r);
     EXPECT_FALSE(r.ok);
 }
 
@@ -111,7 +113,8 @@ TEST(DieSampler, FinalHopRetrievesFeatureOnly)
     p.hop = rig.model.hops;
     p.finalHop = true;
     p.sampleCount = 0;
-    flash::GnnSampleResult r = s.execute(rig.bytes->fetch(a), p);
+    flash::GnnSampleResult r;
+    s.execute(rig.bytes->fetch(a), p, r);
     EXPECT_TRUE(r.ok);
     EXPECT_TRUE(r.featureIncluded);
     EXPECT_EQ(r.featureBytes, rig.feat.bytesPerNode());
@@ -134,7 +137,8 @@ TEST(DieSampler, CoalescesSecondaryHits)
     p.hop = 0;
     p.sampleCount = 32;
     p.retrieveFeature = true;
-    flash::GnnSampleResult r = s.execute(rig.bytes->fetch(nl.primary), p);
+    flash::GnnSampleResult r;
+    s.execute(rig.bytes->fetch(nl.primary), p, r);
     ASSERT_TRUE(r.ok);
 
     // At most one command per secondary section; counts sum with the
@@ -166,10 +170,76 @@ TEST(DieSampler, FrameBytesReflectContent)
     p.sectionIndex = static_cast<std::uint8_t>(a.section());
     p.sampleCount = 3;
     p.retrieveFeature = true;
-    flash::GnnSampleResult r = s.execute(rig.bytes->fetch(a), p);
+    flash::GnnSampleResult r;
+    s.execute(rig.bytes->fetch(a), p, r);
     EXPECT_EQ(r.frameBytes(),
               16u + rig.feat.bytesPerNode() + 12u * r.follow.size());
     EXPECT_GT(s.latency(r), 0u);
+}
+
+TEST(DieSampler, ReusedFrameMatchesAFreshOne)
+{
+    // The engine reuses one result frame per device: each execute()
+    // must overwrite every field, whatever the previous command left.
+    Rig rig;
+    flash::GnnGlobalConfig gc = rig.gnnCfg();
+    gc.fanout = 32;
+    gc.edgeCoeffBytes = 4;
+    DieSampler s(rig.cfg.engine, gc);
+    auto params = [&](graph::NodeId v) {
+        flash::GnnSampleParams p;
+        dg::DgAddress a = rig.layout.nodes[v].primary;
+        p.ppa = a.page();
+        p.sectionIndex = static_cast<std::uint8_t>(a.section());
+        p.hop = 0;
+        p.batchId = 7;
+        p.parentSlot = v;
+        p.sampleCount = 32;
+        p.retrieveFeature = true;
+        return p;
+    };
+    auto same = [](const flash::GnnSampleResult &a,
+                   const flash::GnnSampleResult &b) {
+        EXPECT_EQ(a.ok, b.ok);
+        EXPECT_EQ(a.nodeId, b.nodeId);
+        EXPECT_EQ(a.hop, b.hop);
+        EXPECT_EQ(a.batchId, b.batchId);
+        EXPECT_EQ(a.parentSlot, b.parentSlot);
+        EXPECT_EQ(a.featureIncluded, b.featureIncluded);
+        EXPECT_EQ(a.featureBytes, b.featureBytes);
+        EXPECT_EQ(a.edgeCoeffBytes, b.edgeCoeffBytes);
+        EXPECT_EQ(a.frameBytes(), b.frameBytes());
+        ASSERT_EQ(a.follow.size(), b.follow.size());
+        for (std::size_t i = 0; i < a.follow.size(); ++i) {
+            EXPECT_EQ(a.follow[i].params.ppa, b.follow[i].params.ppa);
+            EXPECT_EQ(a.follow[i].params.sectionIndex,
+                      b.follow[i].params.sectionIndex);
+            EXPECT_EQ(a.follow[i].params.sampleCount,
+                      b.follow[i].params.sampleCount);
+            EXPECT_EQ(a.follow[i].params.isSecondary,
+                      b.follow[i].params.isSecondary);
+        }
+    };
+
+    flash::GnnSampleResult reused;
+    s.execute(rig.bytes->fetch(rig.layout.nodes[0].primary), params(0),
+              reused);
+    ASSERT_FALSE(reused.follow.empty());
+    const std::size_t cap = reused.follow.capacity();
+    // An abort into the dirty frame leaves nothing of the last command.
+    s.execute(std::nullopt, params(3), reused);
+    flash::GnnSampleResult fresh;
+    s.execute(std::nullopt, params(3), fresh);
+    same(reused, fresh);
+    EXPECT_EQ(reused.follow.capacity(), cap);
+    for (graph::NodeId v : {5u, 0u, 9u}) {
+        flash::GnnSampleResult one;
+        s.execute(rig.bytes->fetch(rig.layout.nodes[v].primary), params(v),
+                  one);
+        s.execute(rig.bytes->fetch(rig.layout.nodes[v].primary), params(v),
+                  reused);
+        same(reused, one);
+    }
 }
 
 /**
@@ -206,7 +276,8 @@ TEST(DieSampler, RecursiveExpansionMatchesGoldenSampler)
         work.pop_back();
         auto sec = rig.bytes->fetch(
             dg::DgAddress(w.p.ppa, w.p.sectionIndex));
-        flash::GnnSampleResult r = s.execute(sec, w.p);
+        flash::GnnSampleResult r;
+        s.execute(sec, w.p, r);
         ASSERT_TRUE(r.ok);
         gnn::Slot parent = w.p.parentSlot;
         if (!w.p.isSecondary) {

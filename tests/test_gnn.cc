@@ -124,31 +124,68 @@ TEST(DrawPrimary, PartitionsAcrossRegions)
     std::vector<dg::SecondaryRef> secs = {{dg::DgAddress(1, 0), 100},
                                           {dg::DgAddress(2, 0), 100}};
     // degree 250 = 50 in page + 100 + 100.
-    PrimaryDraws d = drawPrimary(1, 0, 0, 42, 200, 250, 50, secs);
-    std::uint32_t total = static_cast<std::uint32_t>(d.inPagePicks.size());
-    for (auto h : d.secondaryHits)
-        total += h;
+    PrimaryDraws d;
+    drawPrimary(1, 0, 0, 42, 200, 250, 50, secs, d);
+    std::uint32_t total = static_cast<std::uint32_t>(d.inPagePicks().size());
+    for (const auto &h : d.secondaryHits())
+        total += h.hits;
     EXPECT_EQ(total, 200u);
-    for (auto p : d.inPagePicks)
+    for (auto p : d.inPagePicks())
         EXPECT_LT(p, 50u);
-    // With 200 draws over 250 slots, both secondaries are hit w.h.p.
-    EXPECT_GT(d.secondaryHits[0], 0u);
-    EXPECT_GT(d.secondaryHits[1], 0u);
+    // With 200 draws over 250 slots, both secondaries are hit w.h.p.;
+    // hit sections are listed once each, by ascending index.
+    ASSERT_EQ(d.secondaryHits().size(), 2u);
+    EXPECT_EQ(d.secondaryHits()[0].secondary, 0u);
+    EXPECT_EQ(d.secondaryHits()[1].secondary, 1u);
+    EXPECT_GT(d.secondaryHits()[0].hits, 0u);
+    EXPECT_GT(d.secondaryHits()[1].hits, 0u);
+
+    // The caller's storage is overwritten, not appended to.
+    drawPrimary(1, 0, 0, 42, 200, 0, 0, secs, d);
+    EXPECT_TRUE(d.inPagePicks().empty());
+    EXPECT_TRUE(d.secondaryHits().empty());
+}
+
+TEST(DrawPrimary, HitsFollowSectionOrderNotDrawOrder)
+{
+    // Many small secondaries: a full 255-draw fanout lands on them in
+    // random order, yet the hit list is sorted and counts every draw.
+    std::vector<dg::SecondaryRef> secs;
+    for (std::uint32_t j = 0; j < 40; ++j)
+        secs.push_back({dg::DgAddress(10 + j, 0), 7});
+    PrimaryDraws d;
+    drawPrimary(3, 1, 1, 7, 255, 5 + 40 * 7, 5, secs, d);
+    std::uint32_t total = static_cast<std::uint32_t>(d.inPagePicks().size());
+    auto hits = d.secondaryHits();
+    for (std::size_t k = 0; k < hits.size(); ++k) {
+        if (k > 0) {
+            EXPECT_GT(hits[k].secondary, hits[k - 1].secondary);
+        }
+        EXPECT_LT(hits[k].secondary, 40u);
+        EXPECT_GT(hits[k].hits, 0u);
+        total += hits[k].hits;
+    }
+    EXPECT_EQ(total, 255u);
 }
 
 TEST(DrawSecondary, BoundsAndDeterminism)
 {
-    auto a = drawSecondary(1, 0, 2, 42, 1, 0, 5, 64);
-    auto b = drawSecondary(1, 0, 2, 42, 1, 0, 5, 64);
+    using Picks = std::vector<std::uint32_t>;
+    auto draw = [](std::uint32_t secondary, std::uint32_t first_draw,
+                   std::uint32_t count) {
+        Picks out(count);
+        drawSecondary(1, 0, 2, 42, secondary, first_draw, 64, out);
+        return out;
+    };
+    Picks a = draw(1, 0, 5), b = draw(1, 0, 5);
     EXPECT_EQ(a, b);
     ASSERT_EQ(a.size(), 5u);
     for (auto p : a)
         EXPECT_LT(p, 64u);
-    auto c = drawSecondary(1, 0, 2, 42, 2, 0, 5, 64);
+    Picks c = draw(2, 0, 5);
     EXPECT_NE(a, c);
     // Splitting the draws (coalescing ablation) keeps the picks.
-    auto first = drawSecondary(1, 0, 2, 42, 1, 0, 2, 64);
-    auto rest = drawSecondary(1, 0, 2, 42, 1, 2, 3, 64);
+    Picks first = draw(1, 0, 2), rest = draw(1, 2, 3);
     first.insert(first.end(), rest.begin(), rest.end());
     EXPECT_EQ(first, a);
 }

@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "sim/event_queue.h"
 #include "sim/resources.h"
 #include "sim/rng.h"
@@ -97,6 +103,243 @@ TEST(EventQueue, RunUntilStopsAtLimit)
     EXPECT_EQ(q.pending(), 1u);
     q.run();
     EXPECT_EQ(count, 2);
+}
+
+/** Live-instance accounting of the property test's captures. */
+struct Census
+{
+    std::int64_t constructed = 0;
+    std::int64_t destroyed = 0;
+    std::int64_t live() const { return constructed - destroyed; }
+};
+
+/** A capture member that counts its constructions and destructions. */
+struct Tracked
+{
+    Census *census;
+    explicit Tracked(Census *c) : census(c) { ++census->constructed; }
+    Tracked(const Tracked &o) : census(o.census) { ++census->constructed; }
+    Tracked(Tracked &&o) noexcept : census(o.census)
+    {
+        ++census->constructed;
+    }
+    Tracked &operator=(const Tracked &) = delete;
+    ~Tracked() { ++census->destroyed; }
+};
+
+/**
+ * Seeded property test of the event kernel. A sim::Pcg32 draws a mix
+ * of operations that run both on a sim::EventQueue and on a reference
+ * model: an ordered map keyed by (when, insertion seq), which is the
+ * documented pop order by construction. Every pop must be the
+ * reference's earliest event, at its time. Callbacks come in three
+ * shapes — small, move-only and heap-spilled (over the 64-byte inline
+ * buffer) — and some schedule more events while they run.
+ */
+class QueueModel
+{
+  public:
+    QueueModel(std::uint64_t seed, Census &c) : census(c), rng(seed) {}
+
+    /** Run @p steps drawn operations, checking as it goes. */
+    void
+    drive(unsigned steps)
+    {
+        for (unsigned i = 0; i < steps && !::testing::Test::HasFailure();
+             ++i) {
+            const std::uint32_t op = rng.below(100);
+            if (op < 25) {
+                const Tick delay = rng.below(50);
+                const Tick want = q.now() + delay;
+                EXPECT_EQ(q.schedule(delay, make(want)), want);
+            } else if (op < 50) {
+                scheduleAtDrawn();
+            } else if (op < 60) {
+                bulk(1 + rng.below(7)); // Sift-up path.
+            } else if (op < 66) {
+                // Re-heapify path: at least 8 and half the heap.
+                bulk(std::max<std::size_t>(8, q.pending() / 2) +
+                     rng.below(8));
+            } else if (op < 98) {
+                runUntil(q.now() + rng.below(40));
+            } else {
+                q.clear();
+                ref.clear();
+                ++clears;
+                EXPECT_EQ(q.pending(), 0u);
+                EXPECT_EQ(q.now(), 0u);
+                EXPECT_EQ(census.live(), 0) << "clear() leaked a callback";
+            }
+        }
+    }
+
+    /** Run everything left and check the queue drained. */
+    void
+    drain()
+    {
+        runUntil(kTickMax);
+        EXPECT_EQ(q.pending(), 0u);
+        EXPECT_TRUE(ref.empty());
+    }
+
+    std::size_t pending() const { return q.pending(); }
+
+    std::uint64_t fired = 0;
+    std::uint64_t spawned = 0;
+    std::uint64_t clamped = 0;
+    std::uint64_t smallBulks = 0;
+    std::uint64_t heapifyBulks = 0;
+    unsigned clears = 0;
+
+  private:
+    /** A callback of a drawn shape, due at @p when (before the clamp),
+     *  plus its reference entry. Call right before handing it to the
+     *  queue, so both assign insertion order alike. */
+    EventQueue::Callback
+    make(Tick when)
+    {
+        const std::uint32_t id = nextId++;
+        ref.emplace(std::make_pair(std::max(when, q.now()), refSeq++), id);
+        Tracked t(&census);
+        switch (rng.below(3)) {
+        case 0:
+            return [this, t, id] { fire(id); };
+        case 1: {
+            auto owned = std::make_unique<std::uint32_t>(id);
+            return [this, t, owned = std::move(owned)] { fire(*owned); };
+        }
+        default: {
+            std::array<std::uint64_t, 9> payload;
+            for (std::size_t k = 0; k < payload.size(); ++k)
+                payload[k] = id * 31ull + k;
+            static_assert(sizeof(payload) > InlineCallback::kInlineSize);
+            return [this, t, id, payload] {
+                for (std::size_t k = 0; k < payload.size(); ++k)
+                    EXPECT_EQ(payload[k], id * 31ull + k);
+                fire(id);
+            };
+        }
+        }
+    }
+
+    /** A time in [now - 20, now + 50): past times exercise the clamp. */
+    Tick
+    drawTime()
+    {
+        const Tick back = rng.below(20);
+        const Tick base = q.now() > back ? q.now() - back : 0;
+        return base + rng.below(50 + static_cast<std::uint32_t>(
+                                         q.now() - base));
+    }
+
+    void
+    scheduleAtDrawn()
+    {
+        const Tick when = drawTime();
+        if (when < q.now())
+            ++clamped;
+        const Tick want = std::max(when, q.now());
+        EXPECT_EQ(q.scheduleAt(when, make(when)), want);
+    }
+
+    void
+    bulk(std::size_t n)
+    {
+        const bool heapify = n >= 8 && n >= q.pending() / 2;
+        ++(heapify ? heapifyBulks : smallBulks);
+        std::vector<EventQueue::TimedEvent> batch;
+        for (std::size_t i = 0; i < n; ++i) {
+            const Tick when = drawTime();
+            batch.push_back({when, make(when)});
+        }
+        q.bulkScheduleAt(std::move(batch));
+        EXPECT_EQ(q.pending(), ref.size());
+    }
+
+    void
+    runUntil(Tick limit)
+    {
+        lastFired = q.now();
+        // fire() checks each pop against the reference, in order.
+        EXPECT_EQ(q.runUntil(limit), lastFired);
+        EXPECT_TRUE(ref.empty() || ref.begin()->first.first > limit)
+            << "runUntil stopped with due events";
+        EXPECT_EQ(q.pending(), ref.size());
+        EXPECT_EQ(q.nextTime(),
+                  ref.empty() ? kTickMax : ref.begin()->first.first);
+        EXPECT_EQ(census.live(), static_cast<std::int64_t>(ref.size()));
+    }
+
+    void
+    fire(std::uint32_t id)
+    {
+        ++fired;
+        ASSERT_FALSE(ref.empty()) << "event " << id << " not pending";
+        auto top = ref.begin();
+        ASSERT_EQ(top->second, id) << "popped out of (when, seq) order";
+        EXPECT_EQ(q.now(), top->first.first);
+        lastFired = top->first.first;
+        ref.erase(top);
+        // Schedule from inside the running callback.
+        if (rng.below(3) != 0)
+            return;
+        for (std::uint32_t k = 1 + rng.below(2); k > 0; --k) {
+            ++spawned;
+            if (rng.below(2) == 0) {
+                scheduleAtDrawn();
+            } else {
+                const Tick delay = rng.below(30);
+                const Tick want = q.now() + delay;
+                EXPECT_EQ(q.schedule(delay, make(want)), want);
+            }
+        }
+    }
+
+    Census &census; // Outlives the queue.
+    Pcg32 rng;
+    EventQueue q;
+    std::map<std::pair<Tick, std::uint64_t>, std::uint32_t> ref;
+    std::uint64_t refSeq = 0;
+    std::uint32_t nextId = 0;
+    Tick lastFired = 0;
+};
+
+TEST(EventQueue, SeededOpsPopInWhenSeqOrder)
+{
+    for (std::uint64_t seed : {1ull, 0xBEACull, 0x5EEDull}) {
+        SCOPED_TRACE(seed);
+        Census census;
+        {
+            QueueModel m(seed, census);
+            m.drive(6000);
+            m.drain();
+            // Every path was exercised.
+            EXPECT_GT(m.fired, 1000u);
+            EXPECT_GT(m.spawned, 100u);
+            EXPECT_GT(m.clamped, 100u);
+            EXPECT_GT(m.smallBulks, 10u);
+            EXPECT_GT(m.heapifyBulks, 10u);
+            EXPECT_GT(m.clears, 0u);
+        }
+        EXPECT_GT(census.constructed, 1000);
+        EXPECT_EQ(census.live(), 0);
+    }
+}
+
+TEST(EventQueue, DestroyingAPendingQueueDestroysEveryCallback)
+{
+    for (std::uint64_t seed : {2ull, 3ull}) {
+        SCOPED_TRACE(seed);
+        Census census;
+        {
+            QueueModel m(seed, census);
+            m.drive(3000);
+            ASSERT_GT(m.pending(), 0u);
+            EXPECT_EQ(census.live(),
+                      static_cast<std::int64_t>(m.pending()));
+        }
+        EXPECT_EQ(census.live(), 0);
+    }
 }
 
 TEST(Rng, Deterministic)

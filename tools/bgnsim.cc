@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -134,6 +135,27 @@ flagInRange(const char *flag, const char *text, unsigned long lo,
     return v;
 }
 
+/**
+ * Parse @p text, the value of @p flag, as a finite number > 0 in full.
+ * Anything else (trailing junk, zero, a negative, inf or nan) exits 2
+ * with a reason.
+ */
+double
+flagPositive(const char *flag, const char *text)
+{
+    double v = 0;
+    const char *last = text + std::strlen(text);
+    auto [ptr, ec] = std::from_chars(text, last, v);
+    if (ptr == text || ptr != last || ec != std::errc() ||
+        !std::isfinite(v) || !(v > 0)) {
+        std::fprintf(stderr, "bgnsim: %s must be a finite number > 0 "
+                             "(got '%s')\n",
+                     flag, text);
+        std::exit(2);
+    }
+    return v;
+}
+
 } // namespace
 
 int
@@ -162,9 +184,10 @@ main(int argc, char **argv)
         else if (a == "--nodes") nodes = static_cast<graph::NodeId>(
             std::strtoul(next(), nullptr, 10));
         else if (a == "--batches") rc.batches = static_cast<std::uint32_t>(
-            std::strtoul(next(), nullptr, 10));
+            flagInRange("--batches", next(), 1, UINT32_MAX));
         else if (a == "--batch-size") rc.batchSize =
-            static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+            static_cast<std::uint32_t>(
+                flagInRange("--batch-size", next(), 1, UINT32_MAX));
         else if (a == "--hops") model.hops = static_cast<std::uint8_t>(
             flagInRange("--hops", next(), 1, 255));
         else if (a == "--fanout") model.fanout = static_cast<std::uint8_t>(
@@ -215,7 +238,7 @@ main(int argc, char **argv)
                 flagInRange("--page-kb", next(), 1, UINT32_MAX / 1024)) *
             1024;
         else if (a == "--channel-mbps") rc.system.flash.channelMBps =
-            std::strtod(next(), nullptr);
+            flagPositive("--channel-mbps", next());
         else if (a == "--traditional")
             rc.system.flash.readLatency = sim::microseconds(20);
         else if (a == "--dedupe") dedupe = true;
