@@ -5,7 +5,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "cache/vertex_cache.h"
 #include "sim/log.h"
@@ -148,15 +147,17 @@ struct GnnEngine::Batch
      * runs (possibly on a worker thread). One lane per device;
      * completePrepared() merges them into `res` in device order, so
      * the merged result is a pure function of the lane contents —
-     * independent of the worker count.
+     * independent of the worker count. Lanes are cache-line aligned
+     * so two devices' workers never write the same line.
      */
-    struct Lane
+    struct alignas(64) Lane
     {
         CmdStats cmdStats;
         PrepTally tally;
         std::vector<HopSpan> hops;
         std::uint64_t commands = 0;
         std::uint64_t dedupedReads = 0;
+        /** Commands forwarded to another device over P2P. */
         std::uint64_t crossDevice = 0;
         std::uint64_t replicaFallbacks = 0;
         bool ok = true;
@@ -187,9 +188,41 @@ struct GnnEngine::CrossMsg
     sim::Tick when = 0;        ///< Arrival at the destination device.
     unsigned srcDev = 0;       ///< Posting device (sort tie-break).
     std::uint64_t srcSeq = 0;  ///< Posting order within srcDev.
-    std::shared_ptr<Batch> batch;
+    Batch *batch = nullptr;    ///< Owned by inFlight.
     flash::GnnSampleParams params;
     unsigned entryChannel = 0; ///< Crossbar entry at the destination.
+};
+
+/**
+ * Engine state private to one device: only the worker that owns the
+ * device touches it, and the alignment keeps neighbouring devices'
+ * entries off each other's cache lines.
+ */
+struct alignas(64) GnnEngine::DeviceLane
+{
+    /** Posting order of this device's cross-device messages: the
+     *  deterministic tie-break of the mailbox sort. */
+    std::uint64_t p2pSeq = 0;
+    /** Replica routing state (DESIGN.md §17): how many commands this
+     *  lane has routed to each destination (the "least-loaded"
+     *  input) and how many fell back off a killed primary. Kept per
+     *  *source* lane — a shared cross-device table would make the
+     *  choice depend on worker interleave. */
+    std::vector<std::uint64_t> routed;
+    std::uint64_t fallbacks = 0;
+    /** Observed-latency EWMA of this device's own completions
+     *  (array.devD.health.*). */
+    DeviceHealth health;
+    /** Sampler result frame reused by every command the device
+     *  executes (its follow list keeps its capacity, so a command
+     *  costs no allocation); consumed before the next command runs. */
+    flash::GnnSampleResult result;
+    /** Drain scratch, reused every window: inbound messages, then
+     *  the events they become. */
+    std::vector<CrossMsg> inbound;
+    std::vector<sim::EventQueue::TimedEvent> arrivals;
+    /** Pages of one conventional visit (barrier pipeline). */
+    std::vector<flash::Ppa> pages;
 };
 
 GnnEngine::GnnEngine(std::vector<DevicePort> ports_,
@@ -224,12 +257,10 @@ GnnEngine::GnnEngine(std::vector<DevicePort> ports_,
     }
     slotShift = 32 - static_cast<unsigned>(std::bit_width(ndev - 1));
     mailbox = std::make_unique<sim::Mailbox<CrossMsg>>(ndev);
-    p2pSeq.assign(ndev, 0);
-    laneRouted.assign(ndev, std::vector<std::uint64_t>(ndev, 0));
-    laneFallbacks.assign(ndev, 0);
+    devLanes.resize(ndev);
+    for (std::size_t d = 0; d < ndev; ++d)
+        devLanes[d].routed.assign(ndev, 0);
     hostRouted.assign(ndev, 0);
-    laneHealth.assign(ndev, DeviceHealth{});
-    laneResults.resize(ndev);
 }
 
 GnnEngine::~GnnEngine() = default;
@@ -293,9 +324,9 @@ GnnEngine::routeOn(std::vector<std::uint64_t> &routed,
 DeviceHealth
 GnnEngine::healthOf(unsigned dev) const
 {
-    if (dev >= laneHealth.size())
+    if (dev >= devLanes.size())
         return {};
-    return laneHealth[dev];
+    return devLanes[dev].health;
 }
 
 DispatchStats
@@ -319,7 +350,8 @@ GnnEngine::prepare(sim::Tick start, std::uint64_t batch_id,
                    std::span<const graph::NodeId> targets,
                    std::function<void(PrepResult &&)> done)
 {
-    auto b = std::make_shared<Batch>();
+    auto owned = std::make_unique<Batch>();
+    Batch *b = owned.get();
     b->id = batch_id;
     b->done = std::move(done);
     b->res.start = start;
@@ -343,10 +375,10 @@ GnnEngine::prepare(sim::Tick start, std::uint64_t batch_id,
                       host.translatePerNode * targets.size();
     b->res.tally.hostCpuBusy += host.translatePerNode * targets.size();
     b->readyAt = ready;
-    inFlight.push_back(b);
+    inFlight.push_back(std::move(owned));
 
     if (_flags.directGraph) {
-        seedStreaming(b, targets, ready);
+        seedStreaming(*b, targets, ready);
         return;
     }
     for (graph::NodeId t : targets)
@@ -354,12 +386,11 @@ GnnEngine::prepare(sim::Tick start, std::uint64_t batch_id,
     // The barrier pipeline is single-device: device 0's queue is the
     // only one.
     homeQueue(0).scheduleAt(
-        ready, [this, b] { runHop(b, 0, homeQueue(0).now()); });
+        ready, [this, b] { runHop(*b, 0, homeQueue(0).now()); });
 }
 
 void
-GnnEngine::seedStreaming(const std::shared_ptr<Batch> &b,
-                         std::span<const graph::NodeId> targets,
+GnnEngine::seedStreaming(Batch &b, std::span<const graph::NodeId> targets,
                          sim::Tick ready)
 {
     // The host links to every array member: each device's targets are
@@ -372,14 +403,14 @@ GnnEngine::seedStreaming(const std::shared_ptr<Batch> &b,
         std::uint64_t fb = 0;
         const unsigned dev = routeOn(hostRouted, t, ready, &fb);
         if (fb) {
-            b->res.replicaFallbacks += fb;
+            b.res.replicaFallbacks += fb;
             hostFallbacks += fb;
         }
         if (dev == kNoReplica) {
             // Every replica of this target is dead: the submission
             // fails host-side before any command is injected.
-            ++b->res.tally.abortedCommands;
-            b->res.ok = false;
+            ++b.res.tally.abortedCommands;
+            b.res.ok = false;
             continue;
         }
         by_dev[dev].push_back(t);
@@ -391,14 +422,14 @@ GnnEngine::seedStreaming(const std::shared_ptr<Batch> &b,
         // no station is running yet, so this direct schedule is safe.
         // bgnlint:allow(BGN006)
         ports[dev].queue->scheduleAt(
-            ready, [this, b, dev, mine = std::move(by_dev[dev])] {
+            ready, [this, bp = &b, dev, mine = std::move(by_dev[dev])] {
                 sim::Tick now = homeQueue(dev).now();
                 for (graph::NodeId t : mine) {
                     // Targets enter at the frontend controller; their
                     // first hop is always a crossbar traversal.
-                    flash::GnnSampleParams p = targetParams(*b, t);
+                    flash::GnnSampleParams p = targetParams(*bp, t);
                     streamCommand(
-                        b, p, now,
+                        *bp, p, now,
                         ports[dev].backend->codec().channelOf(p.ppa),
                         dev);
                 }
@@ -409,7 +440,9 @@ GnnEngine::seedStreaming(const std::shared_ptr<Batch> &b,
 std::size_t
 GnnEngine::deliverInbound(unsigned dev)
 {
-    std::vector<CrossMsg> msgs = mailbox->drain(dev);
+    DeviceLane &lane = devLanes[dev];
+    std::vector<CrossMsg> &msgs = lane.inbound;
+    mailbox->drain(dev, msgs);
     if (msgs.empty())
         return 0;
     // (arrival, source device, source sequence) is a total order over
@@ -423,27 +456,29 @@ GnnEngine::deliverInbound(unsigned dev)
                       return a.srcDev < x.srcDev;
                   return a.srcSeq < x.srcSeq;
               });
-    std::vector<sim::EventQueue::TimedEvent> batch;
-    batch.reserve(msgs.size());
-    for (CrossMsg &m : msgs) {
-        batch.push_back(
-            {m.when, [this, b = std::move(m.batch), child = m.params,
+    std::vector<sim::EventQueue::TimedEvent> &events = lane.arrivals;
+    for (const CrossMsg &m : msgs) {
+        events.push_back(
+            {m.when, [this, b = m.batch, child = m.params,
                       entry = m.entryChannel, dev] {
-                 streamCommand(b, child, homeQueue(dev).now(), entry,
+                 streamCommand(*b, child, homeQueue(dev).now(), entry,
                                dev);
              }});
     }
     // Delivering onto this station's *own* queue at a window boundary
     // is the one sanctioned non-mailbox schedule.
     // bgnlint:allow(BGN006)
-    ports[dev].queue->bulkScheduleAt(std::move(batch));
-    return msgs.size();
+    ports[dev].queue->bulkScheduleAt(events);
+    const std::size_t delivered = msgs.size();
+    events.clear();
+    msgs.clear();
+    return delivered;
 }
 
 void
 GnnEngine::completePrepared()
 {
-    for (const std::shared_ptr<Batch> &b : inFlight) {
+    for (const std::unique_ptr<Batch> &b : inFlight) {
         mergeLanes(*b);
         b->res.routerStats = routerTotals();
         sim::Tick finish = b->readyAt;
@@ -474,6 +509,12 @@ GnnEngine::mergeLanes(Batch &b)
         b.res.dedupedReads += l.dedupedReads;
         b.res.crossDevice += l.crossDevice;
         b.res.replicaFallbacks += l.replicaFallbacks;
+        DeviceTally &dt = b.res.perDevice[d];
+        dt.commands = l.commands;
+        dt.flashReads = l.tally.flashReads;
+        dt.featureBytes = l.tally.featureBytes;
+        dt.p2pForwards = l.crossDevice;
+        dt.p2pBytes = l.crossDevice * fabric.commandBytes;
         if (!l.ok)
             b.res.ok = false;
         for (std::size_t h = 0;
@@ -588,8 +629,8 @@ GnnEngine::publishMetrics(sim::MetricRegistry &reg) const
     // armed, so default snapshots stay byte-identical.
     if (faultsArmed()) {
         std::uint64_t fallbacks = hostFallbacks;
-        for (std::uint64_t f : laneFallbacks)
-            fallbacks += f;
+        for (const DeviceLane &l : devLanes)
+            fallbacks += l.fallbacks;
         reg.counter("engine.router.replica_fallbacks").add(fallbacks);
     }
 }
@@ -664,9 +705,9 @@ GnnEngine::targetParams(const Batch &b, graph::NodeId node) const
 }
 
 void
-GnnEngine::streamCommand(const std::shared_ptr<Batch> &b,
-                         flash::GnnSampleParams params, sim::Tick ready,
-                         unsigned from_channel, unsigned dev)
+GnnEngine::streamCommand(Batch &b, flash::GnnSampleParams params,
+                         sim::Tick ready, unsigned from_channel,
+                         unsigned dev)
 {
     if constexpr (sim::kCheckedBuild) {
         // Every stream entry is a touch of this device's lane: the
@@ -681,7 +722,8 @@ GnnEngine::streamCommand(const std::shared_ptr<Batch> &b,
     CommandRouter *router = port.router;
     const auto &flash_cfg = backend.config();
     const sim::Tick created = ready;
-    Batch::Lane &lane = b->lanes[dev];
+    Batch::Lane &lane = b.lanes[dev];
+    DeviceLane &dl = devLanes[dev];
     sim::TraceSink *tr = laneTrace(dev);
     const dg::DgAddress self_addr(params.ppa, params.sectionIndex);
 
@@ -704,7 +746,7 @@ GnnEngine::streamCommand(const std::shared_ptr<Batch> &b,
     }
     if (!in_dram && port.cache)
         in_dram = port.cache->lookup(self_addr.raw);
-    flash::GnnSampleResult &result = laneResults[dev];
+    flash::GnnSampleResult &result = dl.result;
     if (in_dram) {
         sampler.execute(source.fetch(self_addr), params, result);
         sim::Grant mem = fw.dram().acquire(std::max(ready, *in_dram),
@@ -758,7 +800,6 @@ GnnEngine::streamCommand(const std::shared_ptr<Batch> &b,
     flash::FlashOpTiming t =
         backend.read(dispatched, params.ppa, transfer_bytes, on_die);
     ++lane.commands;
-    ++b->res.perDevice[dev].commands;
     if (t.failed) {
         // The die was killed before the sense completed: the command
         // aborts at failure-detection time. No frame parses, no page
@@ -772,7 +813,6 @@ GnnEngine::streamCommand(const std::shared_ptr<Batch> &b,
         return;
     }
     ++lane.tally.flashReads;
-    ++b->res.perDevice[dev].flashReads;
     lane.tally.channelBytes += transfer_bytes;
     if (_flags.hwRouter)
         router->bindCompletion(params.ppa, t.xferEnd);
@@ -841,7 +881,7 @@ GnnEngine::streamCommand(const std::shared_ptr<Batch> &b,
     // its command latency, published as array.devD.health.* when
     // faults are armed. Lane-owned — never a routing input shared
     // across lanes, so determinism holds for any worker count.
-    DeviceHealth &dh = laneHealth[dev];
+    DeviceHealth &dh = dl.health;
     const double lat_us = sim::toMicros(parsed - created);
     dh.latencyEwmaUs = dh.samples == 0
                            ? lat_us
@@ -852,23 +892,20 @@ GnnEngine::streamCommand(const std::shared_ptr<Batch> &b,
 }
 
 void
-GnnEngine::completeCommand(const std::shared_ptr<Batch> &b,
-                           const flash::GnnSampleParams &params,
+GnnEngine::completeCommand(Batch &b, const flash::GnnSampleParams &params,
                            const flash::GnnSampleResult &result,
                            sim::Tick created, sim::Tick done, unsigned dev)
 {
-    Batch::Lane &lane = b->lanes[dev];
-    if (result.featureIncluded) {
+    Batch::Lane &lane = b.lanes[dev];
+    if (result.featureIncluded)
         lane.tally.featureBytes += result.featureBytes;
-        b->res.perDevice[dev].featureBytes += result.featureBytes;
-    }
     // ---- Subgraph + children ------------------------------------------
     gnn::Slot parent = params.parentSlot;
     if (!result.ok) {
         ++lane.tally.abortedCommands;
         lane.ok = false;
     } else if (!params.isSecondary) {
-        parent = addEntry(*b, dev,
+        parent = addEntry(b, dev,
                           static_cast<graph::NodeId>(result.nodeId),
                           params.hop, params.parentSlot);
     }
@@ -887,10 +924,12 @@ GnnEngine::completeCommand(const std::shared_ptr<Batch> &b,
 }
 
 void
-GnnEngine::scheduleChild(const std::shared_ptr<Batch> &b,
-                         flash::GnnSampleParams child, sim::Tick parsed,
-                         unsigned this_channel, unsigned dev)
+GnnEngine::scheduleChild(Batch &b, flash::GnnSampleParams child,
+                         sim::Tick parsed, unsigned this_channel,
+                         unsigned dev)
 {
+    Batch::Lane &lane = b.lanes[dev];
+    DeviceLane &dl = devLanes[dev];
     unsigned child_dev = dev;
     if (ports.size() > 1 && !child.isSecondary) {
         // Primary follow-ups may target a node another device owns;
@@ -902,17 +941,16 @@ GnnEngine::scheduleChild(const std::shared_ptr<Batch> &b,
         if (auto sp = layout.find(
                 dg::DgAddress(child.ppa, child.sectionIndex))) {
             std::uint64_t fb = 0;
-            child_dev =
-                routeOn(laneRouted[dev], sp->node, parsed, &fb);
+            child_dev = routeOn(dl.routed, sp->node, parsed, &fb);
             if (fb) {
-                b->lanes[dev].replicaFallbacks += fb;
-                laneFallbacks[dev] += fb;
+                lane.replicaFallbacks += fb;
+                dl.fallbacks += fb;
             }
             if (child_dev == kNoReplica) {
                 // Every replica of the child is dead: the follow-up
                 // is lost and the batch degrades.
-                ++b->lanes[dev].tally.abortedCommands;
-                b->lanes[dev].ok = false;
+                ++lane.tally.abortedCommands;
+                lane.ok = false;
                 return;
             }
         }
@@ -921,8 +959,8 @@ GnnEngine::scheduleChild(const std::shared_ptr<Batch> &b,
         // Same-device follow-up: the device schedules onto its own
         // local clock.
         homeQueue(dev).scheduleAt(
-            parsed, [this, b, child, this_channel, dev] {
-                streamCommand(b, child, homeQueue(dev).now(),
+            parsed, [this, bp = &b, child, this_channel, dev] {
+                streamCommand(*bp, child, homeQueue(dev).now(),
                               this_channel, dev);
             });
         return;
@@ -936,15 +974,12 @@ GnnEngine::scheduleChild(const std::shared_ptr<Batch> &b,
     sim::Grant link =
         ports[dev].p2pOut->acquire(parsed, fabric.commandBytes);
     sim::Tick arrive = link.end + fabric.p2pLatency;
-    ++b->lanes[dev].crossDevice;
-    ++b->res.perDevice[dev].p2pForwards;
-    b->res.perDevice[dev].p2pBytes += fabric.commandBytes;
+    ++lane.crossDevice;
     unsigned entry =
         ports[child_dev].backend->codec().channelOf(child.ppa);
-    mailbox->post(child_dev,
-                  CrossMsg{arrive, dev, p2pSeq[dev]++, b, child,
-                           entry},
-                  arrive, dev, homeQueue(dev).now());
+    mailbox->post(dev, child_dev,
+                  CrossMsg{arrive, dev, dl.p2pSeq++, &b, child, entry},
+                  arrive, homeQueue(dev).now());
 }
 // ====================================================================
 // Hop-by-hop (barrier) pipeline: CC, GLIST, SmartSage, BG-1, BG-SP.
@@ -984,8 +1019,7 @@ featureTablePpa(const flash::FlashConfig &cfg, graph::NodeId node,
 } // namespace
 
 void
-GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
-                  sim::Tick hop_start)
+GnnEngine::runHop(Batch &b, unsigned hop, sim::Tick hop_start)
 {
     // The barrier pipeline is single-device (the constructor rejects
     // multi-device non-streaming platforms), so port 0 is the SSD and
@@ -1000,11 +1034,11 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
     const bool die_sampling = _flags.sampling == SamplingLoc::Die;
     const bool host_sampling = _flags.sampling == SamplingLoc::Host;
     const bool final_hop = hop >= model.hops;
-    Batch::Lane &lane = b->lanes[0];
-    DeviceTally &dev_tally = b->res.perDevice[0];
+    Batch::Lane &lane = b.lanes[0];
+    DeviceLane &dl = devLanes[0];
 
-    auto visits = std::move(b->nextVisits);
-    b->nextVisits.clear();
+    auto visits = std::move(b.nextVisits);
+    b.nextVisits.clear();
     if (visits.empty())
         return; // No targets: the batch finishes when it was ready.
 
@@ -1018,8 +1052,7 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
      * core, then optionally the host path (software-stack service and
      * PCIe transfer). Records Fig. 16/17 statistics.
      */
-    auto do_read = [this, &ctl, &host, &fw, &backend, &lane, &dev_tally,
-                    hop](
+    auto do_read = [this, &ctl, &host, &fw, &backend, &lane, hop](
                        sim::Tick ready, flash::Ppa ppa,
                        std::uint32_t bytes, sim::Tick on_die,
                        sim::Tick core_extra, bool to_host,
@@ -1063,7 +1096,6 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
             flash::FlashOpTiming t =
                 backend.read(dispatched, ppa, bytes, on_die);
             ++lane.tally.flashReads;
-            ++dev_tally.flashReads;
             lane.tally.channelBytes += bytes;
             sense_start = t.senseStart;
             xfer_end = t.xferEnd;
@@ -1097,7 +1129,6 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
             trace->endAsync("cmd", "cmd", span_id, parsed);
         }
         ++lane.commands;
-        ++dev_tally.commands;
         sim::Tick wait_before = sense_start - created;
         lane.cmdStats.waitBefore.add(sim::toMicros(wait_before));
         lane.cmdStats.flashTime.add(sim::toMicros(flash_time));
@@ -1125,7 +1156,7 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
         const dg::NodeLayout &nl = layout.nodes[v.node];
         dg::DgAddress primary = nl.primary;
         gnn::Slot slot =
-            addEntry(*b, 0, v.node, static_cast<std::uint8_t>(hop),
+            addEntry(b, 0, v.node, static_cast<std::uint8_t>(hop),
                      v.parent);
 
         // ---- Feature retrieval ---------------------------------------
@@ -1137,7 +1168,6 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
         // the feature table as a separate object (Table I) and read
         // one of its pages per visit.
         lane.tally.featureBytes += feat_bytes;
-        dev_tally.featureBytes += feat_bytes;
         flash::Ppa fppa =
             featureTablePpa(flash_cfg, v.node, feat_bytes);
         if (die_sampling) {
@@ -1176,13 +1206,13 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
             p.ppa = primary.page();
             p.sectionIndex = static_cast<std::uint8_t>(primary.section());
             p.hop = static_cast<std::uint8_t>(std::min<unsigned>(hop, 255));
-            p.batchId = static_cast<std::uint32_t>(b->id);
+            p.batchId = static_cast<std::uint32_t>(b.id);
             p.retrieveFeature = true; // Co-located format (see above).
             p.sampleCount = model.fanoutAt(
                 static_cast<unsigned>(std::min<unsigned>(hop, 255)));
 
             auto section = source.fetch(primary);
-            flash::GnnSampleResult &r = laneResults[0];
+            flash::GnnSampleResult &r = dl.result;
             sampler.execute(section, p, r);
             if (!r.ok) {
                 ++lane.tally.abortedCommands;
@@ -1197,7 +1227,7 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
                     pending_continuations.push_back({0, f.params, slot});
                 } else if (auto sp = layout.find(dg::DgAddress(
                                f.params.ppa, f.params.sectionIndex))) {
-                    b->nextVisits.push_back({sp->node, slot});
+                    b.nextVisits.push_back({sp->node, slot});
                 }
             }
             std::size_t first_new =
@@ -1218,13 +1248,17 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
             // Host (CC, GLIST) or firmware (SmartSage, BG-1) sampling:
             // the full neighbour list is fetched — the primary page
             // plus every secondary page (read amplification,
-            // Challenge 2).
-            std::vector<flash::Ppa> pages;
-            pages.push_back(primary.page());
-            std::unordered_set<flash::Ppa> seen;
+            // Challenge 2). Secondary pages are read once each, in
+            // first-occurrence order; a node spans a handful of
+            // pages, so a scan of those collected so far dedupes
+            // them.
+            std::vector<flash::Ppa> &pages = dl.pages;
+            pages.assign(1, primary.page());
             for (const auto &r : nl.secondaries) {
-                if (seen.insert(r.addr.page()).second)
-                    pages.push_back(r.addr.page());
+                const flash::Ppa pg = r.addr.page();
+                if (std::find(pages.begin() + 1, pages.end(), pg) ==
+                    pages.end())
+                    pages.push_back(pg);
             }
 
             // Functional sampling: plain uniform draws over the full
@@ -1234,10 +1268,10 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
                     static_cast<unsigned>(std::min<unsigned>(hop, 255)));
                 for (std::uint8_t i = 0; i < fan; ++i) {
                     auto r = static_cast<std::uint32_t>(sim::keyedBelow(
-                        model.seed, b->id,
+                        model.seed, b.id,
                         static_cast<std::uint8_t>(hop), v.node, i,
                         nl.degree));
-                    b->nextVisits.push_back({g.neighbor(v.node, r), slot});
+                    b.nextVisits.push_back({g.neighbor(v.node, r), slot});
                 }
             }
 
@@ -1269,7 +1303,7 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
     for (const auto &pc : pending_continuations) {
         auto csec = source.fetch(
             dg::DgAddress(pc.params.ppa, pc.params.sectionIndex));
-        flash::GnnSampleResult &cr = laneResults[0];
+        flash::GnnSampleResult &cr = dl.result;
         sampler.execute(csec, pc.params, cr);
         if (!cr.ok) {
             ++lane.tally.abortedCommands;
@@ -1278,7 +1312,7 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
         for (auto &f : cr.follow) {
             if (auto sp = layout.find(dg::DgAddress(
                     f.params.ppa, f.params.sectionIndex))) {
-                b->nextVisits.push_back({sp->node, pc.slot});
+                b.nextVisits.push_back({sp->node, pc.slot});
             }
         }
         sim::Tick cparsed = do_read(pc.ready, pc.params.ppa,
@@ -1288,11 +1322,11 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
     }
 
     lane.finishMax = std::max(lane.finishMax, last);
-    if (final_hop || b->nextVisits.empty())
+    if (final_hop || b.nextVisits.empty())
         return;
 
     // Inter-hop host-SSD communication barrier (§III Challenge 1).
-    std::size_t n_children = b->nextVisits.size();
+    std::size_t n_children = b.nextVisits.size();
     sim::Tick host_time = host.translatePerNode * n_children;
     if (host_sampling)
         host_time += host.samplePerNode * visits.size();
@@ -1304,8 +1338,8 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
     }
     sim::Tick next_start = last + host_time + host.nvmeRoundTrip;
     unsigned next_hop = hop + 1;
-    homeQueue(0).scheduleAt(next_start, [this, b, next_hop] {
-        runHop(b, next_hop, homeQueue(0).now());
+    homeQueue(0).scheduleAt(next_start, [this, bp = &b, next_hop] {
+        runHop(*bp, next_hop, homeQueue(0).now());
     });
 }
 

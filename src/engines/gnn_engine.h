@@ -189,11 +189,12 @@ struct DeviceHealth
  * so a conservative parallel driver (sim::ParallelSimulator) may run
  * the device queues on concurrent worker threads; a one-device run
  * simply drains its one queue. Cross-device children never touch a
- * foreign queue directly — they become timestamped messages in a
- * mutex-sharded mailbox, delivered by deliverInbound() at window
- * boundaries in a deterministically sorted order. Once the queues
- * drain, completePrepared() merges the lanes in fixed device order,
- * which makes the results byte-identical for every worker count.
+ * foreign queue directly — they become timestamped messages in the
+ * source device's inbox for their destination, delivered by
+ * deliverInbound() at window boundaries in a deterministically
+ * sorted order. Once the queues drain, completePrepared() merges the
+ * lanes in fixed device order, which makes the results
+ * byte-identical for every worker count.
  */
 class GnnEngine
 {
@@ -233,11 +234,11 @@ class GnnEngine
     /**
      * Conservative-driver drain hook for device @p dev (multi-device
      * runs): take the device's pending cross-device messages out of
-     * the mailbox, sort them by (arrival, source device, source
+     * its inboxes, sort them by (arrival, source device, source
      * sequence) — a pure function of the message set, independent of
      * posting interleave — and bulk-schedule them onto the device's
-     * own queue. Called by the driver between windows, when no
-     * station is running. @return messages delivered.
+     * own queue. Called between windows by the worker that owns the
+     * device. @return messages delivered.
      */
     std::size_t deliverInbound(unsigned dev);
 
@@ -305,6 +306,8 @@ class GnnEngine
     struct Batch;
     /** One cross-device command in flight through the mailbox. */
     struct CrossMsg;
+    /** Engine state private to one device's lane. */
+    struct DeviceLane;
 
     /** Device @p dev's own event queue (its local clock). */
     sim::EventQueue &homeQueue(unsigned dev) { return *ports[dev].queue; }
@@ -317,7 +320,7 @@ class GnnEngine
     /** Seed a streaming batch: route every target to a healthy
      *  replica of its node and schedule one injection event per
      *  device at @p ready. */
-    void seedStreaming(const std::shared_ptr<Batch> &b,
+    void seedStreaming(Batch &b,
                        std::span<const graph::NodeId> targets,
                        sim::Tick ready);
 
@@ -341,7 +344,7 @@ class GnnEngine
 
     /** Out-of-order (DirectGraph) pipeline: obtain and time one
      *  command's frame on device @p dev. */
-    void streamCommand(const std::shared_ptr<Batch> &b,
+    void streamCommand(Batch &b,
                        flash::GnnSampleParams params, sim::Tick ready,
                        unsigned from_channel, unsigned dev);
 
@@ -352,14 +355,14 @@ class GnnEngine
      * accounting or subgraph entry, children, hop span and lane
      * finish time.
      */
-    void completeCommand(const std::shared_ptr<Batch> &b,
+    void completeCommand(Batch &b,
                          const flash::GnnSampleParams &params,
                          const flash::GnnSampleResult &result,
                          sim::Tick created, sim::Tick done, unsigned dev);
 
     /** Schedule a follow-up command at @p parsed: locally on @p dev,
      *  or — when its node lives elsewhere — across the P2P fabric. */
-    void scheduleChild(const std::shared_ptr<Batch> &b,
+    void scheduleChild(Batch &b,
                        flash::GnnSampleParams child, sim::Tick parsed,
                        unsigned this_channel, unsigned dev);
 
@@ -394,7 +397,7 @@ class GnnEngine
     DispatchStats routerTotals() const;
 
     /** Hop-by-hop (barrier) pipeline (one device; writes lane 0). */
-    void runHop(const std::shared_ptr<Batch> &b, unsigned hop,
+    void runHop(Batch &b, unsigned hop,
                 sim::Tick hop_start);
 
     /** Per-device hardware (size >= 1; all components borrowed). */
@@ -410,39 +413,23 @@ class GnnEngine
      *  device field is just wide enough for the device count (none on
      *  one device), so device 0's packing is the identity. */
     unsigned slotShift = 32;
-    /** Cross-device command mailbox (one shard per device). */
+    /** Cross-device command mailbox (one inbox per device pair). */
     std::unique_ptr<sim::Mailbox<CrossMsg>> mailbox;
-    /** Per-source-device message sequence numbers: the deterministic
-     *  tie-break of the mailbox sort. Each entry is touched only by
-     *  its own device's worker thread. */
-    std::vector<std::uint64_t> p2pSeq; // bgnlint:lane-owned
-    /** Per-source-device replica routing state (DESIGN.md §17): how
-     *  many commands lane `src` has routed to each destination (the
-     *  "least-loaded" input) and how many fell back off a killed
-     *  primary. Kept per *source* lane — a shared cross-device table
-     *  would make the choice depend on worker interleave.
-     *  laneRouted[src][dst] is touched only by src's worker thread. */
-    std::vector<std::vector<std::uint64_t>> laneRouted; // bgnlint:lane-owned
-    std::vector<std::uint64_t> laneFallbacks; // bgnlint:lane-owned
+    /** Per-device engine state; entry d is touched only by the worker
+     *  that owns device d. */
+    std::vector<DeviceLane> devLanes; // bgnlint:lane-owned
     /** Host-side routing table for batch-target seeding
      *  (seedStreaming runs on the prep thread before the driver
      *  starts). */
     std::vector<std::uint64_t> hostRouted;
     std::uint64_t hostFallbacks = 0;
-    /** Per-device observed-latency EWMA (array.devD.health.*): each
-     *  device measures its own completions, so entry d is touched
-     *  only by d's worker thread. */
-    std::vector<DeviceHealth> laneHealth; // bgnlint:lane-owned
-    /** Per-device sampler result frame, reused by every command the
-     *  device executes (its follow list keeps its capacity, so a
-     *  command costs no allocation). A frame is consumed before the
-     *  device's next command runs; entry d is touched only by d's
-     *  worker thread. */
-    std::vector<flash::GnnSampleResult> laneResults; // bgnlint:lane-owned
     /** Checked-build hooks (DESIGN.md §16); unused when off. */
     sim::Validator *validator = nullptr;
-    /** Batches awaiting completePrepared(). */
-    std::vector<std::shared_ptr<Batch>> inFlight;
+    /** Batches awaiting completePrepared(). They own their state;
+     *  events and mailbox messages refer to them by plain pointer,
+     *  which stays valid because every event has run before
+     *  completePrepared() releases them. */
+    std::vector<std::unique_ptr<Batch>> inFlight;
     /** Completion time of the one-time GNN config broadcast. */
     sim::Tick configDone = 0;
     /** Opt-in command-lifetime trace (not owned). */

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <charconv>
 #include <climits>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <string_view>
 
@@ -110,6 +112,20 @@ splitList(const std::string &csv)
         pos = comma + 1;
     }
     return out;
+}
+
+unsigned long
+flagInRange(const char *tool, const char *flag, const char *text,
+            unsigned long lo, unsigned long hi)
+{
+    unsigned long v = 0;
+    if (!parseUnsigned(std::string_view(text), v) || v < lo || v > hi) {
+        std::fprintf(stderr,
+                     "%s: %s must be an integer in %lu..%lu (got '%s')\n",
+                     tool, flag, lo, hi, text);
+        std::exit(2);
+    }
+    return v;
 }
 
 /** The component tree of one open platform run. */

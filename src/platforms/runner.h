@@ -96,6 +96,18 @@ std::optional<KillEvent> parseKillEvent(const std::string &spec);
 /** Split a comma-separated list, dropping empty items. */
 std::vector<std::string> splitList(const std::string &csv);
 
+/**
+ * Command-line helper: parse @p text, the value of @p flag (a flag or
+ * an environment variable) of command-line tool @p tool, as a plain
+ * unsigned decimal in [lo, hi]. Anything else (a sign, blanks,
+ * trailing junk, an out-of-range or overflowing value) prints
+ * "<tool>: <flag> must be an integer in lo..hi" with the text and
+ * exits 2, so no narrowing cast downstream can wrap it.
+ */
+unsigned long flagInRange(const char *tool, const char *flag,
+                          const char *text, unsigned long lo,
+                          unsigned long hi);
+
 /** Run parameters. */
 struct RunConfig
 {

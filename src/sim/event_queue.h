@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -108,10 +109,11 @@ class EventQueue
      * sift-ups. Execution order is unaffected by the internal path:
      * the pop order is the total order (when, insertion-seq), and the
      * batch receives its sequence numbers in element order exactly as
-     * k individual scheduleAt() calls would.
+     * k individual scheduleAt() calls would. The callbacks are moved
+     * out of @p batch; the caller keeps (and may reuse) its storage.
      */
     void
-    bulkScheduleAt(std::vector<TimedEvent> batch)
+    bulkScheduleAt(std::span<TimedEvent> batch)
     {
         reserve(keys.size() + batch.size());
         if (batch.size() >= 8 && batch.size() >= keys.size() / 2) {

@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <string>
 #include <thread>
+
+#include "sim/log.h"
 
 namespace beacongnn::sim {
 
@@ -18,9 +23,14 @@ SimExecutor::defaultJobs()
     if (unsigned forced = gForcedJobs.load(std::memory_order_relaxed))
         return forced;
     if (const char *env = std::getenv("BGN_JOBS")) {
-        long v = std::strtol(env, nullptr, 10);
-        if (v >= 1)
-            return static_cast<unsigned>(v);
+        unsigned v = 0;
+        const char *last = env + std::strlen(env);
+        auto [ptr, ec] = std::from_chars(env, last, v);
+        if (ptr == env || ptr != last || ec != std::errc() || v < 1 ||
+            v > kMaxJobs)
+            fatal("BGN_JOBS must be an integer in 1.." +
+                  std::to_string(kMaxJobs) + " (got '" + env + "')");
+        return v;
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;

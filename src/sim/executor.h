@@ -13,7 +13,7 @@
  *
  * Job count resolution (first match wins):
  *   1. explicit constructor argument / --jobs flag,
- *   2. the BGN_JOBS environment variable,
+ *   2. the BGN_JOBS environment variable (1..kMaxJobs),
  *   3. std::thread::hardware_concurrency().
  * With jobs == 1 the executor runs everything inline on the calling
  * thread — no threads are spawned at all.
@@ -61,9 +61,14 @@ class SimExecutor
         return out;
     }
 
+    /** Largest worker count --jobs and BGN_JOBS accept. */
+    static constexpr unsigned kMaxJobs = 1024;
+
     /**
-     * Resolve the default job count: BGN_JOBS if set (clamped to
-     * >= 1), else std::thread::hardware_concurrency(), else 1.
+     * Resolve the default job count: BGN_JOBS if set, else
+     * std::thread::hardware_concurrency(), else 1. BGN_JOBS must be a
+     * plain decimal in 1..kMaxJobs; anything else is a fatal
+     * configuration error.
      */
     static unsigned defaultJobs();
 

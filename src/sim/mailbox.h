@@ -7,20 +7,25 @@
  * directly onto another station's queue — that queue may be mid-run
  * on another worker thread, and even under a lock the insertion order
  * would depend on thread scheduling. Instead a cross-station effect
- * is posted here as a message carrying its delivery timestamp; the
- * simulation driver drains each station's inbox at a window boundary,
- * sorts the messages by a deterministic key supplied by the caller,
- * and bulk-schedules them. The mailbox is mutex-sharded per
- * destination, so concurrent posters to different stations never
- * contend.
+ * is posted here as a message carrying its delivery timestamp; after
+ * the window's barrier the destination's owning worker drains its
+ * inboxes, sorts the messages by a deterministic key supplied by the
+ * caller, and bulk-schedules them.
+ *
+ * There is one inbox per (source, destination) station pair and no
+ * lock. During a window only the source station's worker appends to
+ * an inbox; after the barrier only the destination station's worker
+ * drains it. The driver's barriers order the two, so no inbox is ever
+ * touched by two threads at once.
  */
 
 #ifndef BEACONGNN_SIM_MAILBOX_H
 #define BEACONGNN_SIM_MAILBOX_H
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -30,32 +35,36 @@
 namespace beacongnn::sim {
 
 /**
- * Per-destination message inbox. @p Message is caller-defined; the
- * caller owns the deterministic sort applied after drain() (typically
- * by (deliveryTime, sourceStation, sourceSequence)).
+ * Per-(source, destination) message inboxes. @p Message is
+ * caller-defined; the caller owns the deterministic sort applied
+ * after drain() (typically by (deliveryTime, sourceStation,
+ * sourceSequence)).
  *
- * Thread contract: post() may be called concurrently from any thread;
- * drain() takes the whole inbox under the same per-destination mutex.
- * The conservative driver only drains between windows, when no
- * station is running.
+ * Thread contract: post(src, ...) is called only by the thread that
+ * runs station src in the current window; drain(dst, ...) only by the
+ * thread that owns station dst, between windows. A pair's inbox is
+ * cache-line padded, so posters from different sources never share a
+ * line.
  */
 template <typename Message>
 class Mailbox
 {
   public:
-    explicit Mailbox(std::size_t stations) : slots(stations) {}
+    explicit Mailbox(std::size_t stations)
+        : n(stations), inboxes(stations * stations)
+    {
+    }
 
     Mailbox(const Mailbox &) = delete;
     Mailbox &operator=(const Mailbox &) = delete;
 
-    /** Enqueue @p msg for station @p dst. */
+    /** Enqueue @p msg from station @p src for station @p dst. */
     void
-    post(std::size_t dst, Message msg)
+    post(std::size_t src, std::size_t dst, Message msg)
     {
-        Slot &s = slots[dst];
-        std::lock_guard<std::mutex> lock(s.mutex);
-        s.inbox.push_back(std::move(msg));
-        ++s.posted;
+        Inbox &box = inboxes[dst * n + src];
+        box.messages.push_back(std::move(msg));
+        ++box.posted;
     }
 
     /**
@@ -67,52 +76,62 @@ class Mailbox
      * the check out and this is exactly post().
      */
     void
-    post(std::size_t dst, Message msg, Tick when, unsigned src,
+    post(std::size_t src, std::size_t dst, Message msg, Tick when,
          Tick srcNow)
     {
         if constexpr (kCheckedBuild) {
             if (_validator)
-                _validator->onMailboxPost(
-                    src, static_cast<unsigned>(dst), when, srcNow);
+                _validator->onMailboxPost(static_cast<unsigned>(src),
+                                          static_cast<unsigned>(dst),
+                                          when, srcNow);
         }
-        post(dst, std::move(msg));
+        post(src, dst, std::move(msg));
     }
 
     /** Attach the checked-build validator (nullptr detaches). */
     void setValidator(Validator *v) { _validator = v; }
 
-    /** Take station @p dst's whole inbox (arrival order, unsorted). */
-    std::vector<Message>
-    drain(std::size_t dst)
+    /**
+     * Move station @p dst's pending messages to the end of @p out,
+     * source by source in station order and in posting order within
+     * a source (unsorted by time). The inboxes keep their capacity,
+     * so a warm mailbox drains without allocating.
+     */
+    void
+    drain(std::size_t dst, std::vector<Message> &out)
     {
-        Slot &s = slots[dst];
-        std::lock_guard<std::mutex> lock(s.mutex);
-        std::vector<Message> out;
-        out.swap(s.inbox);
-        return out;
+        for (std::size_t src = 0; src < n; ++src) {
+            std::vector<Message> &m = inboxes[dst * n + src].messages;
+            std::move(m.begin(), m.end(), std::back_inserter(out));
+            m.clear();
+        }
     }
 
-    /** Messages ever posted to station @p dst (drained or not). */
+    /** Messages ever posted to station @p dst (drained or not). Read
+     *  only between windows. */
     std::uint64_t
     posted(std::size_t dst) const
     {
-        const Slot &s = slots[dst];
-        std::lock_guard<std::mutex> lock(s.mutex);
-        return s.posted;
+        std::uint64_t total = 0;
+        for (std::size_t src = 0; src < n; ++src)
+            total += inboxes[dst * n + src].posted;
+        return total;
     }
 
-    std::size_t stations() const { return slots.size(); }
+    std::size_t stations() const { return n; }
 
   private:
-    /** Cache-line padded so two stations' locks never false-share. */
-    struct alignas(64) Slot
+    /** One (source, destination) inbox, cache-line padded so two
+     *  sources' appends never false-share. */
+    struct alignas(64) Inbox
     {
-        mutable std::mutex mutex;
-        std::vector<Message> inbox;
+        std::vector<Message> messages;
         std::uint64_t posted = 0;
     };
 
-    std::vector<Slot> slots;
+    std::size_t n;
+    /** Indexed [dst * n + src]: a drain walks one contiguous row. */
+    std::vector<Inbox> inboxes;
     /** Checked-build hooks (DESIGN.md §16); unused when off. */
     Validator *_validator = nullptr;
 };

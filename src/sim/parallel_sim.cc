@@ -1,12 +1,17 @@
 #include "sim/parallel_sim.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "sim/executor.h"
 #include "sim/log.h"
 
 namespace beacongnn::sim {
+
+namespace {
+
+constexpr std::uint64_t kWorkerBits = 0xFFFFFFFFull;
+
+} // namespace
 
 void
 SpinBarrier::yieldNow()
@@ -24,17 +29,42 @@ ParallelSimulator::ParallelSimulator(std::vector<SimStation> stations,
             fatal("ParallelSimulator: station without queue or drain");
 }
 
-Tick
-ParallelSimulator::deliverAndFloor()
+ParallelSimulator::~ParallelSimulator()
 {
-    // Drains run serially in station order: each hook sorts its own
-    // messages, so the delivery sequence is a pure function of the
-    // message set — deterministic for any worker count.
-    for (SimStation &s : _stations)
-        s.drain();
+    if (_helpers.empty())
+        return;
+    // Worker count 0 in a new generation tells every parked helper to
+    // return.
+    _signal.store(((_signal.load() >> 32) + 1) << 32,
+                  std::memory_order_release);
+    _signal.notify_all();
+    for (std::thread &t : _helpers)
+        t.join();
+}
+
+void
+ParallelSimulator::helperMain(unsigned w, std::uint64_t signal)
+{
+    for (;;) {
+        _signal.wait(signal, std::memory_order_acquire);
+        signal = _signal.load(std::memory_order_acquire);
+        const auto workers = static_cast<unsigned>(signal & kWorkerBits);
+        if (workers == 0)
+            return;
+        if (w >= workers)
+            continue; // Not needed this run; park again.
+        runWindows(w, workers);
+        if (_busy.fetch_sub(1, std::memory_order_acq_rel) == 1)
+            _busy.notify_one();
+    }
+}
+
+Tick
+ParallelSimulator::floorOf(unsigned workers) const
+{
     Tick floor = kTickMax;
-    for (SimStation &s : _stations)
-        floor = std::min(floor, s.queue->nextTime());
+    for (unsigned i = 0; i < workers; ++i)
+        floor = std::min(floor, _floors[i].t);
     return floor;
 }
 
@@ -52,113 +82,69 @@ ParallelSimulator::windowLimit(Tick floor) const
     return floor + (_lookahead - 1);
 }
 
-Tick
-ParallelSimulator::runSerial()
+void
+ParallelSimulator::runWindows(unsigned w, unsigned workers)
 {
-    for (;;) {
-        Tick floor = deliverAndFloor();
-        if (floor == kTickMax)
-            break;
-        Tick limit = windowLimit(floor);
-        ++_windows;
+    // Worker w owns stations w, w + workers, ... for the whole run:
+    // it alone drains them, runs them and reads their clocks. The
+    // barriers order everything else. A station posts into a
+    // (source, destination) inbox only inside a window and its
+    // destination's owner drains that inbox only after `_ran`; every
+    // worker publishes its floor before `_drained` and reads the
+    // others' only after it, and writes it again only after `_ran`.
+    auto claim = [this](std::size_t s) {
         if constexpr (kCheckedBuild) {
             if (_validator)
-                _validator->windowOpen(floor, limit);
+                _validator->claimStation(static_cast<unsigned>(s));
         }
-        for (std::size_t s = 0; s < _stations.size(); ++s) {
-            if constexpr (kCheckedBuild) {
-                if (_validator)
-                    _validator->claimStation(
-                        static_cast<unsigned>(s));
-            }
-            _stations[s].queue->runUntil(limit);
-            if constexpr (kCheckedBuild) {
-                if (_validator)
-                    _validator->releaseStation(
-                        static_cast<unsigned>(s));
-            }
+    };
+    auto release = [this](std::size_t s) {
+        if constexpr (kCheckedBuild) {
+            if (_validator)
+                _validator->releaseStation(static_cast<unsigned>(s));
         }
+    };
+    // The last arrival at a barrier is the only running thread, so
+    // the checked-build window reports happen with every station
+    // quiescent.
+    auto open = [this, workers] {
+        if constexpr (kCheckedBuild) {
+            const Tick floor = floorOf(workers);
+            if (_validator && floor != kTickMax)
+                _validator->windowOpen(floor, windowLimit(floor));
+        }
+    };
+    auto close = [this] {
         if constexpr (kCheckedBuild) {
             if (_validator)
                 _validator->windowClose();
-        }
-    }
-    Tick end = 0;
-    for (SimStation &s : _stations)
-        end = std::max(end, s.queue->now());
-    return end;
-}
-
-Tick
-ParallelSimulator::runParallel(unsigned workers)
-{
-    // Two barriers per window. `limit` and `stop` are plain values:
-    // the main thread writes them strictly before its `ready`
-    // arrival, and the barrier's acquire/release generation hand-off
-    // orders them before any worker's read (and the workers' station
-    // mutations before the main thread's next drain).
-    SpinBarrier ready(workers), done(workers);
-    Tick limit = 0;
-    bool stop = false;
-
-    auto runStations = [&](unsigned w) {
-        for (std::size_t s = w; s < _stations.size(); s += workers) {
-            if constexpr (kCheckedBuild) {
-                if (_validator)
-                    _validator->claimStation(
-                        static_cast<unsigned>(s));
-            }
-            _stations[s].queue->runUntil(limit);
-            if constexpr (kCheckedBuild) {
-                if (_validator)
-                    _validator->releaseStation(
-                        static_cast<unsigned>(s));
-            }
         }
     };
 
-    std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
-    for (unsigned w = 1; w < workers; ++w) {
-        pool.emplace_back([&, w] {
-            for (;;) {
-                ready.arriveAndWait();
-                if (stop)
-                    return;
-                runStations(w);
-                done.arriveAndWait();
-            }
-        });
-    }
-
     for (;;) {
-        Tick floor = deliverAndFloor();
-        if (floor == kTickMax) {
-            stop = true;
-            ready.arriveAndWait();
-            break;
+        Tick local = kTickMax;
+        for (std::size_t s = w; s < _stations.size(); s += workers) {
+            claim(s);
+            _stations[s].drain();
+            release(s);
+            local = std::min(local, _stations[s].queue->nextTime());
         }
-        limit = windowLimit(floor);
-        ++_windows;
-        if constexpr (kCheckedBuild) {
-            if (_validator)
-                _validator->windowOpen(floor, limit);
-        }
-        ready.arriveAndWait();
-        runStations(0);
-        done.arriveAndWait();
-        if constexpr (kCheckedBuild) {
-            if (_validator)
-                _validator->windowClose();
-        }
-    }
-    for (std::thread &t : pool)
-        t.join();
+        _floors[w].t = local;
+        _drained.arriveAndWait(open);
 
-    Tick end = 0;
-    for (SimStation &s : _stations)
-        end = std::max(end, s.queue->now());
-    return end;
+        const Tick floor = floorOf(workers);
+        if (floor == kTickMax)
+            return;
+        const Tick limit = windowLimit(floor);
+        if (w == 0)
+            ++_windows;
+        for (std::size_t s = w; s < _stations.size(); s += workers) {
+            claim(s);
+            _stations[s].queue->runUntil(limit);
+            release(s);
+        }
+        _ran.arriveAndWait(close);
+    }
 }
 
 Tick
@@ -167,15 +153,36 @@ ParallelSimulator::run()
     if (_stations.empty())
         return 0;
     unsigned jobs = _jobsParam ? _jobsParam : SimExecutor::defaultJobs();
-    unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
+    const auto workers = static_cast<unsigned>(std::min<std::size_t>(
         std::max(1u, jobs), _stations.size()));
     _lastJobs = workers;
-    // The two paths execute the identical window algorithm; jobs = 1
-    // simply runs every station on the calling thread. Results are
-    // byte-identical by construction.
-    if (workers <= 1)
-        return runSerial();
-    return runParallel(workers);
+    _floors.resize(std::max<std::size_t>(_floors.size(), workers));
+    _drained.setParties(workers);
+    _ran.setParties(workers);
+
+    if (workers > 1) {
+        const std::uint64_t gen = (_signal.load() >> 32) + 1;
+        // A new helper parks on the signal value it was started with,
+        // so it cannot miss the wake-up below.
+        while (_helpers.size() + 1 < workers) {
+            const auto w = static_cast<unsigned>(_helpers.size() + 1);
+            _helpers.emplace_back(&ParallelSimulator::helperMain, this,
+                                  w, _signal.load());
+        }
+        _busy.store(workers - 1, std::memory_order_relaxed);
+        _signal.store((gen << 32) | workers, std::memory_order_release);
+        _signal.notify_all();
+    }
+    runWindows(0, workers);
+    // Helpers leave the loop after reading the final floors; wait for
+    // them so the next run() may reuse the floors and the barriers.
+    for (unsigned b; (b = _busy.load(std::memory_order_acquire)) != 0;)
+        _busy.wait(b, std::memory_order_acquire);
+
+    Tick end = 0;
+    for (SimStation &s : _stations)
+        end = std::max(end, s.queue->now());
+    return end;
 }
 
 } // namespace beacongnn::sim

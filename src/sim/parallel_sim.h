@@ -6,21 +6,23 @@
  * Each station owns a private EventQueue (its local clock) and a
  * drain hook that delivers its pending inbound mailbox messages. The
  * driver runs a synchronous-window (YAWNS-style Chandy–Misra)
- * algorithm: per round it drains every inbox, computes the global
- * floor T = min over stations of the earliest pending event, and
- * lets every station advance concurrently through the window
- * [T, T + lookahead). The lookahead is the fabric's minimum
- * cross-station latency (one P2P hop): any message generated inside
- * the window is stamped at or beyond the horizon, so no station can
- * receive work it should already have executed.
+ * algorithm. Per round, every worker drains its own stations' inboxes
+ * and publishes the earliest pending event among them; after a
+ * barrier every worker derives the same global floor T from those
+ * minima and advances its stations through the window
+ * [T, T + lookahead); a second barrier ends the round. The lookahead
+ * is the fabric's minimum cross-station latency (one P2P hop): any
+ * message generated inside the window is stamped at or beyond the
+ * horizon, so no station can receive work it should already have
+ * executed.
  *
  * Determinism contract: the executed event sequence of every station
  * is a pure function of (initial queues, drain hooks, lookahead) —
  * the worker count never changes which window an event lands in or
  * the order inside a window, because windows are global barriers and
  * each drain hook must deliver in a deterministically sorted order.
- * jobs = 1 therefore produces byte-identical results to any other
- * worker count, just on one thread.
+ * One worker runs the very same loop on the calling thread, so
+ * jobs = 1 is byte-identical to any other worker count.
  *
  * Zero lookahead does not deadlock: the window degenerates to a
  * single timestamp ([T, T]) and the simulation proceeds as globally
@@ -34,6 +36,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <thread>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -46,8 +49,9 @@ struct SimStation
 {
     EventQueue *queue = nullptr;
     /** Deliver pending inbound messages into `queue` in a
-     *  deterministically sorted order; returns how many. Called only
-     *  between windows (no station running). */
+     *  deterministically sorted order; returns how many. Called
+     *  between windows by the worker that owns the station; drains
+     *  of different stations run concurrently. */
     std::function<std::size_t()> drain;
 };
 
@@ -61,13 +65,23 @@ struct SimStation
 class SpinBarrier
 {
   public:
-    explicit SpinBarrier(unsigned parties) : n(parties) {}
+    explicit SpinBarrier(unsigned parties = 1) : n(parties) {}
 
+    /** Change the party count; only while no thread is inside. */
+    void setParties(unsigned parties) { n = parties; }
+
+    /**
+     * Arrive and wait for the other parties. The last arrival runs
+     * @p onLast before releasing them, so it sees every party's
+     * writes and its own writes are visible to all of them.
+     */
+    template <typename OnLast>
     void
-    arriveAndWait()
+    arriveAndWait(OnLast &&onLast)
     {
         std::uint64_t my = gen.load(std::memory_order_acquire);
         if (count.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
+            onLast();
             count.store(0, std::memory_order_relaxed);
             gen.fetch_add(1, std::memory_order_release);
             return;
@@ -79,6 +93,8 @@ class SpinBarrier
         }
     }
 
+    void arriveAndWait() { arriveAndWait([] {}); }
+
   private:
     static constexpr unsigned kSpinLimit = 4096;
     static void yieldNow();
@@ -88,7 +104,12 @@ class SpinBarrier
     std::atomic<std::uint64_t> gen{0};
 };
 
-/** Conservative windowed driver over a set of stations. */
+/**
+ * Conservative windowed driver over a set of stations. Helper worker
+ * threads are started on the first run() that needs them and live as
+ * long as the driver, parked on an atomic wait between run() calls;
+ * the calling thread is always worker 0.
+ */
 class ParallelSimulator
 {
   public:
@@ -102,6 +123,12 @@ class ParallelSimulator
      */
     ParallelSimulator(std::vector<SimStation> stations, Tick lookahead,
                       unsigned jobs = 0);
+
+    /** Wakes the parked workers and joins them. */
+    ~ParallelSimulator();
+
+    ParallelSimulator(const ParallelSimulator &) = delete;
+    ParallelSimulator &operator=(const ParallelSimulator &) = delete;
 
     /**
      * Run until global quiescence: every queue drained and every
@@ -118,20 +145,26 @@ class ParallelSimulator
     /** Worker count the last run() resolved to (0 before any run). */
     unsigned lastJobs() const { return _lastJobs; }
 
+    /** Helper threads started so far (parked between runs). */
+    std::size_t helperThreads() const { return _helpers.size(); }
+
     /**
-     * Attach the checked-build validator (DESIGN.md §16): the driver
-     * reports window open/close and workers claim their stations
-     * around each runUntil. Station queues register themselves via
+     * Attach the checked-build validator (DESIGN.md §16): the last
+     * worker to reach a barrier reports window open/close, and
+     * workers claim their stations around each drain and each
+     * runUntil. Station queues register themselves via
      * EventQueue::setValidator. Nullptr detaches; an OFF build
      * compiles every report out.
      */
     void setValidator(Validator *v) { _validator = v; }
 
   private:
-    Tick runSerial();
-    Tick runParallel(unsigned workers);
-    /** Drain every inbox (station order); then the global floor. */
-    Tick deliverAndFloor();
+    /** Body of helper thread @p w (>= 1): park, run, repeat. */
+    void helperMain(unsigned w, std::uint64_t signal);
+    /** The window loop, as worker @p w of @p workers. */
+    void runWindows(unsigned w, unsigned workers);
+    /** Global floor: the minimum of the first @p workers minima. */
+    Tick floorOf(unsigned workers) const;
     Tick windowLimit(Tick floor) const;
 
     std::vector<SimStation> _stations;
@@ -141,6 +174,23 @@ class ParallelSimulator
     std::uint64_t _windows = 0;
     /** Checked-build hooks (DESIGN.md §16); unused when off. */
     Validator *_validator = nullptr;
+
+    /** One worker's earliest pending event after its drains, padded
+     *  so the workers' stores never share a line. */
+    struct alignas(64) LocalFloor
+    {
+        Tick t = kTickMax;
+    };
+    std::vector<LocalFloor> _floors;
+    /** All drains done (floors published) / all windows done. */
+    SpinBarrier _drained, _ran;
+    /** Run signal for the parked helpers: (generation << 32) |
+     *  worker count of the run; a worker count of 0 means stop. */
+    std::atomic<std::uint64_t> _signal{0};
+    /** Helpers still inside the current run. */
+    std::atomic<unsigned> _busy{0};
+    /** Helper threads 1..size(); worker 0 is the run() caller. */
+    std::vector<std::thread> _helpers;
 };
 
 } // namespace beacongnn::sim

@@ -25,8 +25,8 @@
  * Threading: one Validator instance per simulation run (bench grids
  * run several simulations concurrently in one process, so this is
  * never a process-global). The driver opens/closes windows; workers
- * claim and release stations; hooks may fire from any claimed
- * thread.
+ * claim and release stations around each drain and each window; hooks
+ * may fire from any claimed thread.
  */
 
 #ifndef BEACONGNN_SIM_VALIDATOR_H
@@ -62,9 +62,12 @@ class Validator
     Validator &operator=(const Validator &) = delete;
 
     // ---- driver protocol (ParallelSimulator) ----------------------
-    /** A window [floor, limit] is about to run. Driver thread only. */
+    /** A window [floor, limit] is about to run. Called with every
+     *  station quiescent (the driver reports it from the last worker
+     *  to reach the barrier before the window). */
     void windowOpen(Tick floor, Tick limit);
-    /** The window's stations have all quiesced. Driver thread only. */
+    /** The window's stations have all quiesced (reported by the last
+     *  worker to reach the barrier after the window). */
     void windowClose();
     /** The calling thread takes station @p dev for this window.
      *  Aborts if another live thread still holds it. */

@@ -1,7 +1,9 @@
 /**
  * @file
  * Conservative parallel simulation tests (DESIGN.md §13): the
- * sim::Mailbox / SpinBarrier / ParallelSimulator primitives, the
+ * sim::Mailbox per-source inboxes, SpinBarrier and ParallelSimulator
+ * primitives (including one driver reused across many runs while the
+ * worker count changes, and the join of its parked workers), the
  * EventQueue bulk-schedule fast path, and — the property the whole
  * design exists for — byte-identical metrics JSON and CSV from
  * multi-device array runs regardless of the worker count, including
@@ -24,6 +26,7 @@
 #include "sim/mailbox.h"
 #include "sim/metrics.h"
 #include "sim/parallel_sim.h"
+#include "sim/rng.h"
 #include "sim/trace_events.h"
 
 namespace {
@@ -38,37 +41,107 @@ TEST(Mailbox, PostDrainAndPostedCount)
 {
     sim::Mailbox<int> mb(3);
     EXPECT_EQ(mb.stations(), 3u);
-    mb.post(1, 10);
-    mb.post(1, 20);
-    mb.post(2, 30);
-    EXPECT_EQ(mb.posted(1), 2u);
+    mb.post(/*src=*/2, /*dst=*/1, 10);
+    mb.post(/*src=*/0, /*dst=*/1, 20);
+    mb.post(/*src=*/2, /*dst=*/1, 30);
+    mb.post(/*src=*/1, /*dst=*/2, 40);
+    EXPECT_EQ(mb.posted(1), 3u);
     EXPECT_EQ(mb.posted(2), 1u);
 
-    std::vector<int> got = mb.drain(1);
-    std::vector<int> want = {10, 20};
-    EXPECT_EQ(got, want); // FIFO per destination.
-    EXPECT_TRUE(mb.drain(1).empty());
-    EXPECT_EQ(mb.posted(1), 2u); // posted() is a lifetime tally.
-    EXPECT_TRUE(mb.drain(0).empty());
+    std::vector<int> got;
+    mb.drain(1, got);
+    // Source by source in station order, FIFO within a source.
+    std::vector<int> want = {20, 10, 30};
+    EXPECT_EQ(got, want);
+    got.clear();
+    mb.drain(1, got);
+    EXPECT_TRUE(got.empty());
+    EXPECT_EQ(mb.posted(1), 3u); // posted() is a lifetime tally.
+    mb.drain(0, got);
+    EXPECT_TRUE(got.empty());
+    got.push_back(-1);
+    mb.drain(2, got); // drain appends.
+    want = {-1, 40};
+    EXPECT_EQ(got, want);
 }
 
 TEST(Mailbox, ConcurrentPostsAllArrive)
 {
-    sim::Mailbox<unsigned> mb(1);
+    // One posting thread per source station, all aimed at one
+    // destination: each thread writes only its own inbox, so every
+    // message arrives, grouped by source in posting order.
     constexpr unsigned kThreads = 4, kEach = 500;
+    sim::Mailbox<unsigned> mb(kThreads);
     std::vector<std::thread> ts;
     for (unsigned t = 0; t < kThreads; ++t)
         ts.emplace_back([&mb, t] {
             for (unsigned i = 0; i < kEach; ++i)
-                mb.post(0, t * kEach + i);
+                mb.post(t, 0, t * kEach + i);
         });
     for (auto &t : ts)
         t.join();
-    std::vector<unsigned> all = mb.drain(0);
+    std::vector<unsigned> all;
+    mb.drain(0, all);
     ASSERT_EQ(all.size(), std::size_t{kThreads} * kEach);
-    std::sort(all.begin(), all.end());
     for (unsigned i = 0; i < kThreads * kEach; ++i)
         EXPECT_EQ(all[i], i);
+}
+
+/** A timestamped message with the engine's sort key. */
+struct KeyedMsg
+{
+    sim::Tick when = 0;
+    unsigned src = 0;
+    std::uint64_t seq = 0;
+
+    bool
+    operator<(const KeyedMsg &o) const
+    {
+        return std::tie(when, src, seq) < std::tie(o.when, o.src, o.seq);
+    }
+    bool
+    operator==(const KeyedMsg &o) const
+    {
+        return when == o.when && src == o.src && seq == o.seq;
+    }
+};
+
+TEST(Mailbox, PerSourceInboxesDrainToTheSerialSortedSequence)
+{
+    // Seeded traffic between 5 stations, posted once from one thread
+    // and once from one thread per source: after the drain and the
+    // (when, src, seq) sort every destination sees the same sequence.
+    constexpr unsigned kStations = 5, kEach = 400;
+    auto post_all = [](sim::Mailbox<KeyedMsg> &mb, unsigned src) {
+        sim::Pcg32 rng(0xB00C, src);
+        for (std::uint64_t i = 0; i < kEach; ++i) {
+            const unsigned dst = rng.below(kStations);
+            mb.post(src, dst, KeyedMsg{rng.below(64), src, i});
+        }
+    };
+    sim::Mailbox<KeyedMsg> serial(kStations), threaded(kStations);
+    for (unsigned src = 0; src < kStations; ++src)
+        post_all(serial, src);
+    std::vector<std::thread> ts;
+    for (unsigned src = 0; src < kStations; ++src)
+        ts.emplace_back([&threaded, &post_all, src] {
+            post_all(threaded, src);
+        });
+    for (auto &t : ts)
+        t.join();
+
+    std::size_t total = 0;
+    for (unsigned dst = 0; dst < kStations; ++dst) {
+        std::vector<KeyedMsg> a, b;
+        serial.drain(dst, a);
+        threaded.drain(dst, b);
+        std::sort(a.begin(), a.end());
+        std::sort(b.begin(), b.end());
+        EXPECT_EQ(a, b) << "destination " << dst;
+        EXPECT_EQ(serial.posted(dst), threaded.posted(dst));
+        total += a.size();
+    }
+    EXPECT_EQ(total, std::size_t{kStations} * kEach);
 }
 
 // ==================================================================
@@ -125,7 +198,7 @@ TEST(BulkSchedule, MatchesIndividualSchedulesIncludingTies)
                 batch.push_back(
                     {when, [&order, v] { order.push_back(v); }});
             }
-            q.bulkScheduleAt(std::move(batch));
+            q.bulkScheduleAt(batch);
         } else {
             for (auto &[when, id] : plan) {
                 int v = id;
@@ -142,15 +215,18 @@ TEST(BulkSchedule, MatchesIndividualSchedulesIncludingTies)
 }
 
 // ==================================================================
-// ParallelSimulator on a synthetic station ring.
+// ParallelSimulator on seeded cross-station traffic.
 // ==================================================================
 
 /**
- * N stations in a ring; every handled message is logged and forwarded
- * to the next station one lookahead later, until its hop budget runs
- * out. The executed log stream is the determinism witness.
+ * Seeded cross-station traffic that outlives one run(): each round
+ * seeds a few messages per station, and every handled message either
+ * continues on its own station (a local event) or crosses to a
+ * pseudo-random station through the per-source inboxes, until its hop
+ * budget runs out. Each station's executed (time, key) log is the
+ * determinism witness.
  */
-struct MiniRing
+struct Mesh
 {
     struct Msg
     {
@@ -158,97 +234,132 @@ struct MiniRing
         unsigned src = 0;
         std::uint64_t seq = 0;
         unsigned hops = 0;
+        std::uint64_t key = 0;
     };
 
     sim::Tick lookahead;
     std::vector<std::unique_ptr<sim::EventQueue>> queues;
     sim::Mailbox<Msg> mailbox;
     std::vector<std::uint64_t> seq;
+    std::vector<std::vector<Msg>> scratch;
     std::vector<std::vector<std::pair<sim::Tick, std::uint64_t>>> logs;
+    /** Events the seeded messages will execute (hops + 1 each). */
+    std::size_t expected = 0;
+    sim::ParallelSimulator psim;
 
-    MiniRing(unsigned n, sim::Tick la)
-        : lookahead(la), mailbox(n), seq(n, 0), logs(n)
+    Mesh(unsigned n, sim::Tick la, unsigned jobs)
+        : lookahead(la), queues(makeQueues(n)), mailbox(n), seq(n, 0),
+          scratch(n), logs(n), psim(stations(), la, jobs)
     {
-        for (unsigned i = 0; i < n; ++i)
-            queues.push_back(std::make_unique<sim::EventQueue>());
-        for (unsigned i = 0; i < n; ++i) {
-            Msg m{/*when=*/i + 1, i, seq[i]++, /*hops=*/24};
-            queues[i]->scheduleAt(
-                m.when, [this, i, m] { handle(i, m); });
-        }
     }
+
+    static std::vector<std::unique_ptr<sim::EventQueue>>
+    makeQueues(unsigned n)
+    {
+        std::vector<std::unique_ptr<sim::EventQueue>> q;
+        for (unsigned i = 0; i < n; ++i)
+            q.push_back(std::make_unique<sim::EventQueue>());
+        return q;
+    }
+
+    std::vector<sim::SimStation>
+    stations()
+    {
+        std::vector<sim::SimStation> st;
+        for (unsigned d = 0; d < queues.size(); ++d)
+            st.push_back({queues[d].get(), [this, d] { return drain(d); }});
+        return st;
+    }
+
+    unsigned size() const { return static_cast<unsigned>(queues.size()); }
 
     void
     handle(unsigned d, const Msg &m)
     {
-        logs[d].emplace_back(m.when, (std::uint64_t{m.src} << 32) |
-                                         m.seq);
+        logs[d].emplace_back(queues[d]->now(), m.key);
         if (m.hops == 0)
             return;
-        unsigned dst = (d + 1) % static_cast<unsigned>(queues.size());
-        // Conservative stamp: at least one lookahead in the future
-        // (a zero lookahead degenerates to same-tick rounds).
-        mailbox.post(dst, Msg{queues[d]->now() + lookahead, d,
-                              seq[d]++, m.hops - 1});
+        const std::uint64_t next = sim::splitmix64(m.key);
+        const unsigned dst = static_cast<unsigned>(next % size());
+        const sim::Tick extra = (next >> 16) % 5;
+        if (dst == d) {
+            queues[d]->schedule(extra, [this, d, m, next] {
+                handle(d, Msg{0, d, 0, m.hops - 1, next});
+            });
+            return;
+        }
+        mailbox.post(d, dst,
+                     Msg{queues[d]->now() + lookahead + extra, d,
+                         seq[d]++, m.hops - 1, next});
     }
 
     std::size_t
     drain(unsigned d)
     {
-        std::vector<Msg> msgs = mailbox.drain(d);
+        std::vector<Msg> &msgs = scratch[d];
+        mailbox.drain(d, msgs);
         std::sort(msgs.begin(), msgs.end(),
                   [](const Msg &a, const Msg &b) {
                       return std::tie(a.when, a.src, a.seq) <
                              std::tie(b.when, b.src, b.seq);
                   });
-        std::vector<sim::EventQueue::TimedEvent> batch;
-        batch.reserve(msgs.size());
         for (const Msg &m : msgs)
-            batch.push_back({m.when, [this, d, m] { handle(d, m); }});
-        queues[d]->bulkScheduleAt(std::move(batch));
-        return msgs.size();
+            queues[d]->scheduleAt(m.when, [this, d, m] { handle(d, m); });
+        const std::size_t n = msgs.size();
+        msgs.clear();
+        return n;
     }
 
-    sim::Tick
-    run(unsigned jobs)
+    std::size_t
+    executed() const
     {
-        std::vector<sim::SimStation> stations;
-        for (unsigned d = 0;
-             d < static_cast<unsigned>(queues.size()); ++d)
-            stations.push_back(
-                {queues[d].get(), [this, d] { return drain(d); }});
-        sim::ParallelSimulator psim(std::move(stations), lookahead,
-                                    jobs);
-        sim::Tick end = psim.run();
-        EXPECT_GT(psim.windows(), 0u);
-        EXPECT_GE(psim.lastJobs(), 1u);
-        return end;
+        std::size_t n = 0;
+        for (const auto &l : logs)
+            n += l.size();
+        return n;
+    }
+
+    /** Seed round @p round's traffic and run it to quiescence. */
+    sim::Tick
+    round(std::uint64_t round)
+    {
+        sim::Pcg32 rng(0x5EED + round, 7);
+        sim::Tick base = 0;
+        for (const auto &q : queues)
+            base = std::max(base, q->now());
+        for (unsigned d = 0; d < size(); ++d) {
+            const unsigned count = 1 + rng.below(8);
+            for (unsigned i = 0; i < count; ++i) {
+                Msg m{base + 1 + rng.below(20), d, 0, 2 + rng.below(30),
+                      (round << 32) | (std::uint64_t{d} << 8) | i};
+                expected += m.hops + 1;
+                queues[d]->scheduleAt(m.when,
+                                      [this, d, m] { handle(d, m); });
+            }
+        }
+        return psim.run();
     }
 };
 
-TEST(ParallelSim, RingLogsIdenticalAcrossWorkerCounts)
+TEST(ParallelSim, MeshLogsIdenticalAcrossWorkerCounts)
 {
-    MiniRing a(4, sim::microseconds(1));
-    sim::Tick ta = a.run(/*jobs=*/1);
-    MiniRing b(4, sim::microseconds(1));
-    sim::Tick tb = b.run(/*jobs=*/3);
-    EXPECT_EQ(ta, tb);
+    Mesh a(4, sim::microseconds(1), /*jobs=*/1);
+    Mesh b(4, sim::microseconds(1), /*jobs=*/3);
+    EXPECT_EQ(a.round(0), b.round(0));
     EXPECT_EQ(a.logs, b.logs);
-    // Every seeded message visited all 25 stations of its walk.
-    std::size_t total = 0;
-    for (const auto &l : a.logs)
-        total += l.size();
-    EXPECT_EQ(total, 4u * 25u);
+    EXPECT_GT(a.psim.windows(), 0u);
+    EXPECT_EQ(b.psim.lastJobs(), 3u);
+    // Every seeded message executed each hop of its walk.
+    EXPECT_EQ(a.executed(), a.expected);
 }
 
 TEST(ParallelSim, ZeroLookaheadSerializesWithoutDeadlock)
 {
-    MiniRing a(3, 0);
-    sim::Tick ta = a.run(1);
-    MiniRing b(3, 0);
-    sim::Tick tb = b.run(4);
-    EXPECT_EQ(ta, tb);
+    Mesh a(3, 0, 1);
+    Mesh b(3, 0, 4);
+    EXPECT_EQ(a.round(0), b.round(0));
     EXPECT_EQ(a.logs, b.logs);
+    EXPECT_EQ(b.executed(), b.expected);
 }
 
 TEST(ParallelSim, EmptyStationsQuiesceImmediately)
@@ -257,6 +368,46 @@ TEST(ParallelSim, EmptyStationsQuiesceImmediately)
     sim::ParallelSimulator psim({{&q, [] { return std::size_t{0}; }}},
                                 sim::microseconds(1), 2);
     EXPECT_EQ(psim.run(), 0u);
+}
+
+TEST(ParallelSim, ReusedSimulatorMatchesOneWorkerAsJobsChange)
+{
+    // One driver per side, reused for 60 runs; the varying side
+    // resolves its worker count from the process default, which
+    // switches 2 -> 4 -> 1 -> 3 between runs, so parked helpers are
+    // woken, left parked, and added to.
+    constexpr unsigned kRuns = 60;
+    const unsigned schedule[] = {2, 4, 1, 3};
+    Mesh ref(5, sim::microseconds(1), /*jobs=*/1);
+    Mesh var(5, sim::microseconds(1), /*jobs=*/0);
+    for (unsigned r = 0; r < kRuns; ++r) {
+        const sim::Tick want = ref.round(r);
+        const unsigned jobs = schedule[r % 4];
+        sim::SimExecutor::setDefaultJobs(jobs);
+        EXPECT_EQ(var.round(r), want) << "run " << r;
+        EXPECT_EQ(var.psim.lastJobs(), jobs);
+        ASSERT_EQ(var.logs, ref.logs) << "run " << r;
+    }
+    sim::SimExecutor::setDefaultJobs(0);
+    EXPECT_EQ(var.psim.windows(), ref.psim.windows());
+    EXPECT_EQ(var.psim.helperThreads(), 3u); // Started once, reused.
+    EXPECT_EQ(ref.psim.helperThreads(), 0u);
+    EXPECT_EQ(ref.executed(), ref.expected);
+}
+
+TEST(ParallelSim, DestroyingParkedWorkersJoinsThem)
+{
+    // The helpers park between runs; destruction must wake and join
+    // them (a hang here trips the ctest TIMEOUT).
+    for (unsigned jobs = 2; jobs <= 4; ++jobs) {
+        Mesh m(4, sim::microseconds(1), jobs);
+        m.round(0);
+        m.round(1);
+        EXPECT_EQ(m.psim.helperThreads(), jobs - 1);
+    }
+    // A driver that never ran started no thread.
+    Mesh idle(4, sim::microseconds(1), 4);
+    EXPECT_EQ(idle.psim.helperThreads(), 0u);
 }
 
 // ==================================================================

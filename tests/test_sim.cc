@@ -252,7 +252,7 @@ class QueueModel
             const Tick when = drawTime();
             batch.push_back({when, make(when)});
         }
-        q.bulkScheduleAt(std::move(batch));
+        q.bulkScheduleAt(batch);
         EXPECT_EQ(q.pending(), ref.size());
     }
 

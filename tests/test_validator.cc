@@ -193,7 +193,7 @@ TEST(ValidatorWiring, MailboxShortStampAborts)
             Mailbox<int> mb(2);
             Validator v(2, 5);
             mb.setValidator(&v);
-            mb.post(1, 7, /*when=*/3, /*src=*/0, /*srcNow=*/0);
+            mb.post(/*src=*/0, /*dst=*/1, 7, /*when=*/3, /*srcNow=*/0);
         },
         "under the lookahead horizon");
 }
@@ -209,7 +209,7 @@ TEST(ValidatorWiring, CompliantTrafficIsSilentInEveryBuild)
     mb.setValidator(&v);
     q.scheduleAt(10, [] {});
     EXPECT_EQ(q.run(), 10u);
-    mb.post(1, 7, /*when=*/15, /*src=*/0, /*srcNow=*/10);
+    mb.post(/*src=*/0, /*dst=*/1, 7, /*when=*/15, /*srcNow=*/10);
     if (kCheckedBuild)
         EXPECT_GT(v.checks(), 0u);
     else

@@ -114,6 +114,12 @@ main(int argc, char **argv)
     platforms::RunConfig rc;
     ServeConfig sc;
 
+    // BGN_JOBS is read wherever a worker count is resolved; check it
+    // like --jobs, before any thread starts.
+    if (const char *env = std::getenv("BGN_JOBS"))
+        platforms::flagInRange("bgnserve", "BGN_JOBS", env, 1,
+                               sim::SimExecutor::kMaxJobs);
+
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         auto next = [&]() -> const char * {
@@ -254,12 +260,11 @@ main(int argc, char **argv)
             static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
         else if (a == "--dies") rc.system.flash.diesPerChannel =
             static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
-        else if (a == "--jobs") {
-            long v = std::strtol(next(), nullptr, 10);
-            if (v >= 1)
-                sim::SimExecutor::setDefaultJobs(
-                    static_cast<unsigned>(v));
-        }
+        else if (a == "--jobs")
+            sim::SimExecutor::setDefaultJobs(
+                static_cast<unsigned>(platforms::flagInRange(
+                    "bgnserve", "--jobs", next(), 1,
+                    sim::SimExecutor::kMaxJobs)));
         else if (a == "--csv") csv_path = next();
         else if (a == "--metrics") metrics_path = next();
         else if (a == "--metrics-csv") metrics_csv_path = next();

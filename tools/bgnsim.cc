@@ -113,29 +113,6 @@ usage(const char *argv0)
 }
 
 /**
- * Parse @p text, the value of @p flag, as a plain unsigned decimal in
- * [lo, hi]. Anything else (a sign, trailing junk, an out-of-range or
- * overflowing value) exits 2 with a reason, so no narrowing cast
- * downstream can wrap it.
- */
-unsigned long
-flagInRange(const char *flag, const char *text, unsigned long lo,
-            unsigned long hi)
-{
-    unsigned long v = 0;
-    const char *last = text + std::strlen(text);
-    auto [ptr, ec] = std::from_chars(text, last, v);
-    if (ptr == text || ptr != last || ec != std::errc() || v < lo ||
-        v > hi) {
-        std::fprintf(stderr, "bgnsim: %s must be an integer in %lu..%lu "
-                             "(got '%s')\n",
-                     flag, lo, hi, text);
-        std::exit(2);
-    }
-    return v;
-}
-
-/**
  * Parse @p text, the value of @p flag, as a finite number > 0 in full.
  * Anything else (trailing junk, zero, a negative, inf or nan) exits 2
  * with a reason.
@@ -172,6 +149,12 @@ main(int argc, char **argv)
     std::optional<gnn::AlgoKind> algo;
     bool dedupe = false, no_coalesce = false;
 
+    // BGN_JOBS is read wherever a worker count is resolved; check it
+    // like --jobs, before any thread starts.
+    if (const char *env = std::getenv("BGN_JOBS"))
+        flagInRange("bgnsim", "BGN_JOBS", env, 1,
+                    sim::SimExecutor::kMaxJobs);
+
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         auto next = [&]() -> const char * {
@@ -184,14 +167,14 @@ main(int argc, char **argv)
         else if (a == "--nodes") nodes = static_cast<graph::NodeId>(
             std::strtoul(next(), nullptr, 10));
         else if (a == "--batches") rc.batches = static_cast<std::uint32_t>(
-            flagInRange("--batches", next(), 1, UINT32_MAX));
+            flagInRange("bgnsim", "--batches", next(), 1, UINT32_MAX));
         else if (a == "--batch-size") rc.batchSize =
-            static_cast<std::uint32_t>(
-                flagInRange("--batch-size", next(), 1, UINT32_MAX));
+            static_cast<std::uint32_t>(flagInRange(
+                "bgnsim", "--batch-size", next(), 1, UINT32_MAX));
         else if (a == "--hops") model.hops = static_cast<std::uint8_t>(
-            flagInRange("--hops", next(), 1, 255));
+            flagInRange("bgnsim", "--hops", next(), 1, 255));
         else if (a == "--fanout") model.fanout = static_cast<std::uint8_t>(
-            flagInRange("--fanout", next(), 1, 255));
+            flagInRange("bgnsim", "--fanout", next(), 1, 255));
         else if (a == "--model") {
             std::string n = next();
             auto k = gnn::findModelKind(n);
@@ -234,8 +217,8 @@ main(int argc, char **argv)
         else if (a == "--cores") rc.system.controller.cores =
             static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
         else if (a == "--page-kb") rc.system.flash.pageSize =
-            static_cast<std::uint32_t>(
-                flagInRange("--page-kb", next(), 1, UINT32_MAX / 1024)) *
+            static_cast<std::uint32_t>(flagInRange(
+                "bgnsim", "--page-kb", next(), 1, UINT32_MAX / 1024)) *
             1024;
         else if (a == "--channel-mbps") rc.system.flash.channelMBps =
             flagPositive("--channel-mbps", next());
@@ -319,12 +302,11 @@ main(int argc, char **argv)
                 return 2;
             }
         }
-        else if (a == "--jobs") {
-            long v = std::strtol(next(), nullptr, 10);
-            if (v >= 1)
-                sim::SimExecutor::setDefaultJobs(
-                    static_cast<unsigned>(v));
-        }
+        else if (a == "--jobs")
+            sim::SimExecutor::setDefaultJobs(
+                static_cast<unsigned>(flagInRange(
+                    "bgnsim", "--jobs", next(), 1,
+                    sim::SimExecutor::kMaxJobs)));
         else if (a == "--trace-util") rc.traceUtilization = true;
         else if (a == "--csv") csv_path = next();
         else if (a == "--metrics") metrics_path = next();
