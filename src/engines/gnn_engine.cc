@@ -1,7 +1,6 @@
 #include "engines/gnn_engine.h"
 
 #include <algorithm>
-#include <bit>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -108,18 +107,10 @@ namespace {
 /** Slot value used in command metadata for "no parent" (targets). */
 constexpr std::uint32_t kRootSlot = gnn::kNoParent;
 
-// A command's parentSlot may cross the fabric, so it names a subgraph
-// entry globally: (device << shift) | lane-local index, with the shift
-// leaving just enough device bits for the topology (none on one
-// device). Device 0's packing is the identity, and kRootSlot (all
-// ones) is never a legal packed value: the lane-local space stops one
-// short of the mask.
-std::uint32_t
-slotMask(unsigned shift)
-{
-    return static_cast<std::uint32_t>((std::uint64_t{1} << shift) - 1);
-}
-
+// Packed slots (slotShiftFor/slotMask in the header): device 0's
+// packing is the identity, and kRootSlot (all ones) is never a legal
+// packed value because the lane-local space stops one short of the
+// mask.
 std::uint32_t
 packSlot(unsigned shift, unsigned dev, std::uint32_t local)
 {
@@ -255,7 +246,7 @@ GnnEngine::GnnEngine(std::vector<DevicePort> ports_,
         if (!fabric.owner || fabric.owner->size() < g.numNodes())
             sim::fatal("GnnEngine: array without an ownership table");
     }
-    slotShift = 32 - static_cast<unsigned>(std::bit_width(ndev - 1));
+    slotShift = slotShiftFor(ndev);
     mailbox = std::make_unique<sim::Mailbox<CrossMsg>>(ndev);
     devLanes.resize(ndev);
     for (std::size_t d = 0; d < ndev; ++d)

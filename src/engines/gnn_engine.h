@@ -18,6 +18,7 @@
 #ifndef BEACONGNN_ENGINES_GNN_ENGINE_H
 #define BEACONGNN_ENGINES_GNN_ENGINE_H
 
+#include <bit>
 #include <functional>
 #include <memory>
 #include <span>
@@ -41,6 +42,27 @@ class TraceSink;
 } // namespace beacongnn::sim
 
 namespace beacongnn::engines {
+
+/**
+ * A command's parentSlot may cross the fabric, so it names a subgraph
+ * entry globally: (device << shift) | lane-local index. The shift
+ * leaves just enough device bits for a @p devices-device topology
+ * (none on one device).
+ */
+inline unsigned
+slotShiftFor(std::size_t devices)
+{
+    return 32 - static_cast<unsigned>(std::bit_width(devices - 1));
+}
+
+/** Lane-local mask of a packed slot. One device's lane holds at most
+ *  this many entries (indices below the mask), so kNoParent (all
+ *  ones) is never a packed slot. */
+inline std::uint32_t
+slotMask(unsigned shift)
+{
+    return static_cast<std::uint32_t>((std::uint64_t{1} << shift) - 1);
+}
 
 /** Where neighbour sampling executes. */
 enum class SamplingLoc : std::uint8_t

@@ -1,15 +1,11 @@
 #include "platforms/runner.h"
 
 #include <algorithm>
-#include <charconv>
-#include <climits>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <string_view>
 
 #include "gnn/compute.h"
 #include "platforms/device_context.h"
+#include "platforms/options.h"
 #include "platforms/partition.h"
 #include "sim/event_queue.h"
 #include "sim/log.h"
@@ -55,77 +51,6 @@ makeBundle(const graph::WorkloadSpec &spec,
     b.layout = dg::buildLayout(b.graph, b.features, flash_cfg, reserved);
     b.source = std::make_unique<dg::LayoutSource>(b.layout, b.graph);
     return bundle;
-}
-
-namespace {
-
-/** Parse all of @p s as an unsigned decimal: no sign, no blanks, no
- *  overflow of @p out's type. */
-template <typename T>
-bool
-parseUnsigned(std::string_view s, T &out)
-{
-    const char *last = s.data() + s.size();
-    auto [ptr, ec] = std::from_chars(s.data(), last, out);
-    return !s.empty() && ec == std::errc() && ptr == last;
-}
-
-} // namespace
-
-std::optional<KillEvent>
-parseKillEvent(const std::string &spec)
-{
-    const std::size_t at = spec.find('@');
-    if (at == std::string::npos)
-        return std::nullopt;
-    const std::string_view target = std::string_view(spec).substr(0, at);
-    const std::string_view when = std::string_view(spec).substr(at + 1);
-    const std::size_t dot = target.find('.');
-    KillEvent k;
-    if (!parseUnsigned(target.substr(0, dot), k.device))
-        return std::nullopt;
-    if (dot != std::string_view::npos) {
-        unsigned die = 0;
-        if (!parseUnsigned(target.substr(dot + 1), die) || die > INT_MAX)
-            return std::nullopt;
-        k.die = static_cast<int>(die);
-    }
-    std::uint64_t us = 0;
-    if (!parseUnsigned(when, us) ||
-        us > sim::kTickMax / sim::microseconds(1))
-        return std::nullopt;
-    k.at = sim::microseconds(us);
-    return k;
-}
-
-std::vector<std::string>
-splitList(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= csv.size()) {
-        std::size_t comma = csv.find(',', pos);
-        if (comma == std::string::npos)
-            comma = csv.size();
-        if (comma > pos)
-            out.push_back(csv.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    return out;
-}
-
-unsigned long
-flagInRange(const char *tool, const char *flag, const char *text,
-            unsigned long lo, unsigned long hi)
-{
-    unsigned long v = 0;
-    if (!parseUnsigned(std::string_view(text), v) || v < lo || v > hi) {
-        std::fprintf(stderr,
-                     "%s: %s must be an integer in %lu..%lu (got '%s')\n",
-                     tool, flag, lo, hi, text);
-        std::exit(2);
-    }
-    return v;
 }
 
 /** The component tree of one open platform run. */
@@ -178,18 +103,12 @@ struct PlatformSession::Impl
         : platform(p), run(r), bundle(b),
           active(r.model ? *r.model : b.model)
     {
+        fatalIfInvalid("PlatformSession", run.validate(p, active));
         const TopologyConfig &topo = run.topology;
-        if (topo.devices == 0)
-            sim::fatal("PlatformSession: zero devices");
-        if (topo.multi()) {
-            if (!p.flags.directGraph)
-                sim::fatal("PlatformSession: multi-device topologies "
-                           "require a streaming (DirectGraph) "
-                           "platform, not " + p.name);
+        if (topo.multi())
             placement = Placement::build(b.graph, topo.partition,
                                          topo.devices,
                                          topo.effectiveReplication());
-        }
         std::vector<engines::DevicePort> ports;
         for (unsigned d = 0; d < topo.devices; ++d) {
             devices.push_back(std::make_unique<DeviceContext>(
@@ -205,19 +124,9 @@ struct PlatformSession::Impl
         // engine's replica routing from its kill tick on.
         deviceKillAt.assign(topo.devices, sim::kTickMax);
         for (const KillEvent &k : run.kills) {
-            if (k.device >= topo.devices)
-                sim::fatal("PlatformSession: kill schedule names "
-                           "device " + std::to_string(k.device) +
-                           " of a " + std::to_string(topo.devices) +
-                           "-device topology");
             flash::FlashBackend &be = devices[k.device]->backend();
             const unsigned dies = be.dieCount();
             if (k.die >= 0) {
-                if (static_cast<unsigned>(k.die) >= dies)
-                    sim::fatal("PlatformSession: kill schedule names "
-                               "die " + std::to_string(k.die) +
-                               " of a " + std::to_string(dies) +
-                               "-die device");
                 be.killDieAt(static_cast<unsigned>(k.die), k.at);
             } else {
                 for (unsigned die = 0; die < dies; ++die)

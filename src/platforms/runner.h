@@ -19,6 +19,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "accel/accelerator.h"
 #include "cache/vertex_cache.h"
@@ -85,29 +86,6 @@ struct KillEvent
     sim::Tick at = 0;
 };
 
-/**
- * Parse one kill spec: "DEV@US" (whole device) or "DEV.DIE@US" (one
- * die), US in microseconds. Every field is a plain unsigned decimal:
- * signs, blanks and values that overflow their field (including a
- * time whose tick conversion wraps) are rejected. Empty on error.
- */
-std::optional<KillEvent> parseKillEvent(const std::string &spec);
-
-/** Split a comma-separated list, dropping empty items. */
-std::vector<std::string> splitList(const std::string &csv);
-
-/**
- * Command-line helper: parse @p text, the value of @p flag (a flag or
- * an environment variable) of command-line tool @p tool, as a plain
- * unsigned decimal in [lo, hi]. Anything else (a sign, blanks,
- * trailing junk, an out-of-range or overflowing value) prints
- * "<tool>: <flag> must be an integer in lo..hi" with the text and
- * exits 2, so no narrowing cast downstream can wrap it.
- */
-unsigned long flagInRange(const char *tool, const char *flag,
-                          const char *text, unsigned long lo,
-                          unsigned long hi);
-
 /** Run parameters. */
 struct RunConfig
 {
@@ -139,6 +117,20 @@ struct RunConfig
      *  flash backends and the replica router. Empty (default) runs the
      *  historical fault-free simulation, byte-identically. */
     std::vector<KillEvent> kills{};
+
+    /**
+     * Every reason this config cannot run @p platform with @p spec
+     * (empty = valid): the device count (1..kMaxDevices) and a
+     * streaming platform for an array, geometry and cores >= 1, finite
+     * positive bandwidths, kill targets inside the topology, a retry
+     * probability in [0, 1], a cache whose line count fits uint64, and
+     * a worst-case batch subgraph that fits one device's slot space.
+     * PlatformSession calls it (fatal on failure); the CLIs print
+     * every reason and exit 2. Defined in options.cc, beside the
+     * parsers that feed it.
+     */
+    std::vector<std::string> validate(const PlatformConfig &platform,
+                                      const gnn::ModelSpec &spec) const;
 };
 
 /** Everything measured in one run. */

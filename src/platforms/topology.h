@@ -30,6 +30,10 @@ enum class PartitionPolicy : std::uint8_t
 /** Scale-out topology of one run. devices = 1 ≡ today's single SSD. */
 struct TopologyConfig
 {
+    /** Largest array: the cross-device mailbox holds devices² padded
+     *  inboxes (64 MiB at this size). */
+    static constexpr unsigned kMaxDevices = 1024;
+
     unsigned devices = 1;            ///< BeaconGNN SSDs in the array.
     double p2pMBps = 4000.0;         ///< Per-device P2P port bandwidth.
     sim::Tick p2pLatency = sim::microseconds(1); ///< Link hop latency.

@@ -2,7 +2,24 @@
 
 #include <algorithm>
 
+#include "platforms/options.h"
+
 namespace beacongnn::serve {
+
+std::vector<std::string>
+ServeConfig::validate() const
+{
+    std::vector<std::string> r;
+    if (arrivals.requests < 1)
+        r.push_back("requests must be >= 1");
+    if (policy.maxBatch < 1)
+        r.push_back("max batch must be >= 1");
+    platforms::requireFinite(r, "arrival rate (req/s)",
+                             arrivals.ratePerSec, 0);
+    platforms::requireFinite(r, "burst factor", arrivals.burstFactor, 0);
+    platforms::requireFinite(r, "Zipf theta", arrivals.zipfTheta, 0, true);
+    return r;
+}
 
 ServeResult
 serveWorkload(const platforms::PlatformConfig &platform,
@@ -12,6 +29,7 @@ serveWorkload(const platforms::PlatformConfig &platform,
               std::vector<RequestOutcome> *outcomes,
               sim::MetricRegistry *metrics)
 {
+    platforms::fatalIfInvalid("serveWorkload", cfg.validate());
     ServeResult res;
     res.platform = platform.name;
     res.workload = bundle.name;
@@ -21,7 +39,10 @@ serveWorkload(const platforms::PlatformConfig &platform,
     MicroBatcher batcher(
         cfg.policy,
         generateArrivals(cfg.arrivals, bundle.graph.numNodes()));
-    platforms::PlatformSession session(platform, run, bundle);
+    // Validate the session against the largest batch it dispatches.
+    platforms::RunConfig sized = run;
+    sized.batchSize = cfg.policy.maxBatch;
+    platforms::PlatformSession session(platform, sized, bundle);
 
     // Per-request model selection: each configured kind becomes a
     // spec over the bundle's sampling shape; requests pick a spec via

@@ -17,6 +17,7 @@
 
 #include <array>
 #include <string>
+#include <vector>
 
 #include "platforms/runner.h"
 #include "serve/arrival.h"
@@ -48,6 +49,14 @@ struct ServeConfig
      *  historical single-model path, byte-identical. Callers should
      *  set arrivals.modelCount = models.size(). */
     std::vector<gnn::ModelKind> models;
+
+    /**
+     * Every reason this stream cannot run (empty = valid): requests
+     * and max batch >= 1, a finite arrival rate and burst factor > 0,
+     * and a finite Zipf theta >= 0. serveWorkload calls it (fatal on
+     * failure); bgnserve prints every reason and exits 2.
+     */
+    std::vector<std::string> validate() const;
 };
 
 /** Latency/SLO tally of one QoS class. */

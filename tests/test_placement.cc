@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "graph/dataset.h"
+#include "platforms/options.h"
 #include "platforms/partition.h"
 #include "platforms/report.h"
 #include "sim/executor.h"

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "platforms/runner.h"
 
 namespace {
@@ -360,6 +363,120 @@ TEST(Report, ConfigBroadcastPrecedesFirstBatch)
     dev.queue().run();
     engine.completePrepared();
     EXPECT_EQ(engine.configuredAt(), configured);
+}
+
+} // namespace
+
+namespace {
+
+using namespace beacongnn;
+using namespace beacongnn::platforms;
+
+/** True when one of @p reasons contains @p text. */
+bool
+mentions(const std::vector<std::string> &reasons, const std::string &text)
+{
+    return std::any_of(reasons.begin(), reasons.end(),
+                       [&](const std::string &r) {
+                           return r.find(text) != std::string::npos;
+                       });
+}
+
+TEST(RunConfigValidate, DefaultsAreValidOnEveryPlatform)
+{
+    for (PlatformKind k : allPlatforms())
+        EXPECT_TRUE(RunConfig{}.validate(makePlatform(k), {}).empty())
+            << platformName(k);
+}
+
+TEST(RunConfigValidate, ReportsEveryReasonAtOnce)
+{
+    RunConfig rc;
+    rc.topology.devices = 4;
+    rc.topology.replication = 0;
+    rc.topology.p2pMBps = 0;
+    rc.system.flash.channels = 0;
+    rc.system.flash.channelMBps = -1;
+    rc.system.controller.cores = 0;
+    rc.system.disturb.retryProb = std::nan("");
+    rc.cache.capacityMB = 1e30;
+    rc.zipfTheta = -1;
+    rc.kills.push_back({7, -1, 0});
+    auto reasons = rc.validate(makePlatform(PlatformKind::CC), {});
+    EXPECT_EQ(reasons.size(), 10u);
+    for (const char *what :
+         {"streaming (DirectGraph)", "replication", "P2P bandwidth",
+          "flash channels", "channel bandwidth", "controller cores",
+          "read-retry probability", "64-bit count", "Zipf theta",
+          "device 7 of a 4-device"})
+        EXPECT_TRUE(mentions(reasons, what)) << what;
+}
+
+TEST(RunConfigValidate, DeviceCountAndKillTargetsAreBounded)
+{
+    auto bg2 = makePlatform(PlatformKind::BG2);
+    RunConfig rc;
+    rc.topology.devices = 0;
+    EXPECT_TRUE(mentions(rc.validate(bg2, {}), "devices must be in"));
+    rc.topology.devices = TopologyConfig::kMaxDevices;
+    EXPECT_TRUE(rc.validate(bg2, {}).empty());
+    rc.topology.devices = TopologyConfig::kMaxDevices + 1;
+    EXPECT_TRUE(mentions(rc.validate(bg2, {}), "devices must be in"));
+
+    rc.topology.devices = 2;
+    const unsigned dies = rc.system.flash.totalDies();
+    rc.kills = {{1, static_cast<int>(dies) - 1, 0}};
+    EXPECT_TRUE(rc.validate(bg2, {}).empty());
+    rc.kills = {{1, static_cast<int>(dies), 0}};
+    EXPECT_TRUE(mentions(rc.validate(bg2, {}), "names die"));
+}
+
+TEST(RunConfigValidate, WorkBoundIsTheSlotSpaceOfOneDevice)
+{
+    // hops 1, fanout 1: batch × (1 + 1) entries against the lane mask.
+    gnn::ModelSpec spec;
+    spec.hops = 1;
+    spec.fanout = 1;
+    auto bg2 = makePlatform(PlatformKind::BG2);
+    RunConfig rc;
+    const std::uint32_t one = engines::slotMask(engines::slotShiftFor(1));
+    rc.batchSize = one / 2;
+    EXPECT_TRUE(rc.validate(bg2, spec).empty());
+    rc.batchSize = one / 2 + 1;
+    EXPECT_TRUE(mentions(rc.validate(bg2, spec), "entries"));
+
+    // Eight devices leave 29 bits to each lane.
+    rc.topology.devices = 8;
+    const std::uint32_t eight = engines::slotMask(engines::slotShiftFor(8));
+    EXPECT_EQ(eight, (1u << 29) - 1);
+    rc.batchSize = eight / 2;
+    EXPECT_TRUE(rc.validate(bg2, spec).empty());
+    rc.batchSize = eight / 2 + 1;
+    EXPECT_TRUE(mentions(rc.validate(bg2, spec), "entries"));
+
+    // The explosive shape of the CLI probe: 128 targets, 40 hops.
+    rc.topology.devices = 1;
+    rc.batchSize = 128;
+    spec.hops = 40;
+    spec.fanout = 3;
+    EXPECT_TRUE(mentions(rc.validate(bg2, spec), "entries"));
+}
+
+TEST(RunConfigValidate, SessionRejectsAnInvalidConfig)
+{
+    gnn::ModelConfig model;
+    ssd::SystemConfig sys;
+    auto spec = graph::workload("OGBN");
+    spec.simNodes = 1500;
+    auto bundle = makeBundle(spec, sys.flash, model);
+    RunConfig rc;
+    rc.topology.devices = 2;
+    rc.kills.push_back({5, -1, 0});
+    EXPECT_EXIT(PlatformSession(makePlatform(PlatformKind::CC), rc,
+                                *bundle),
+                ::testing::ExitedWithCode(1),
+                "PlatformSession: a 2-device array needs a streaming.*; "
+                "kill schedule names device 5");
 }
 
 } // namespace

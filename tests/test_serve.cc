@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "platforms/runner.h"
 #include "serve/arrival.h"
 #include "serve/queue.h"
@@ -443,6 +446,47 @@ TEST(Serve, OverloadSaturatesAndQueues)
     EXPECT_GT(heavy.peakQueueDepth, light.peakQueueDepth);
     // Under overload the mean batch fills to the cap.
     EXPECT_DOUBLE_EQ(heavy.meanBatchSize, 16.0);
+}
+
+} // namespace
+
+namespace {
+
+using namespace beacongnn;
+using namespace beacongnn::serve;
+
+TEST(ServeConfigValidate, DefaultsAreValid)
+{
+    EXPECT_TRUE(ServeConfig{}.validate().empty());
+}
+
+TEST(ServeConfigValidate, ReportsEveryReasonAtOnce)
+{
+    ServeConfig sc;
+    sc.arrivals.requests = 0;
+    sc.policy.maxBatch = 0;
+    sc.arrivals.ratePerSec = std::numeric_limits<double>::infinity();
+    sc.arrivals.burstFactor = 0;
+    sc.arrivals.zipfTheta = std::nan("");
+    auto reasons = sc.validate();
+    ASSERT_EQ(reasons.size(), 5u);
+    EXPECT_NE(reasons[0].find("requests"), std::string::npos);
+    EXPECT_NE(reasons[1].find("max batch"), std::string::npos);
+    EXPECT_NE(reasons[2].find("arrival rate"), std::string::npos);
+    EXPECT_NE(reasons[3].find("burst factor"), std::string::npos);
+    EXPECT_NE(reasons[4].find("Zipf theta"), std::string::npos);
+}
+
+TEST(ServeConfigValidate, ServeWorkloadRejectsAnEmptyStream)
+{
+    auto bundle = tinyBundle();
+    ServeConfig sc;
+    sc.arrivals.requests = 0;
+    EXPECT_EXIT(serveWorkload(platforms::makePlatform(
+                                  platforms::PlatformKind::BG2),
+                              platforms::RunConfig{}, *bundle, sc),
+                ::testing::ExitedWithCode(1),
+                "serveWorkload: requests must be >= 1");
 }
 
 } // namespace

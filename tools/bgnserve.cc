@@ -15,37 +15,38 @@
  * Sweep points run in parallel on --jobs workers (BGN_JOBS env var /
  * hardware cores by default); output is in deterministic sweep order
  * and byte-identical across worker counts and repeated runs with the
- * same seed.
+ * same seed. The flags shared with bgnsim (README "Command-line flags
+ * shared by bgnsim and bgnserve") are parsed and checked by
+ * platforms::SharedOptions.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "platforms/options.h"
 #include "serve/report.h"
 #include "serve/serve.h"
 #include "sim/executor.h"
-#include "sim/metrics.h"
-#include "sim/trace_events.h"
 
 using namespace beacongnn;
 using namespace beacongnn::serve;
-using platforms::parseKillEvent;
+using platforms::flagInRange;
+using platforms::flagReal;
 using platforms::splitList;
 
 namespace {
 
 [[noreturn]] void
-usage(const char *argv0, int status = 2)
+usage(const platforms::SharedOptions &opts, const char *argv0,
+      int status = 2)
 {
     std::printf(
         "usage: %s [options]\n"
-        "  --platform NAME[,NAME...]  platform list (default CC,BG-2)\n"
-        "  --workload NAME[,NAME...]  workload list (default amazon)\n"
         "  --rates R[,R...]    offered arrival rates, req/s "
         "(default 500,1000,2000,4000)\n"
         "  --requests N        requests per stream (default 512)\n"
@@ -62,39 +63,11 @@ usage(const char *argv0, int status = 2)
         "gcn|gin|gat\n"
         "  --slo-ms A,B,C      per-class SLO targets, ms "
         "(default 5,20,100)\n"
-        "  --nodes N           override the workload's node count\n"
-        "  --devices N         SSDs in a scale-out array (default 1; "
-        ">1 needs a streaming platform)\n"
-        "  --p2p-mbps X        per-device P2P link bandwidth "
-        "(default 4000)\n"
-        "  --p2p-latency-us X  P2P hop latency in us (default 1; the "
-        "parallel simulator's lookahead)\n"
-        "  --partition NAME    hash|range|balanced graph partition "
-        "(default hash)\n"
-        "  --replication N     replicas per node (chained "
-        "declustering, clamped to --devices; default 1)\n"
-        "  --retry-prob X      per-die flash read-retry probability "
-        "scale (default 0 = off)\n"
-        "  --die-kill SPEC[,SPEC...]  kill schedule: DEV@US kills a "
-        "whole device,\n"
-        "                      DEV.DIE@US one die, at US "
-        "microseconds\n"
-        "  --cache-mb X        per-device DRAM vertex cache capacity "
-        "in MiB (default 0 = off)\n"
-        "  --cache-policy NAME lru|mslru|fifo eviction policy "
-        "(default lru)\n"
         "  --zipf-theta X      Zipf(theta) skew of request targets "
-        "(default 0 = uniform)\n"
-        "  --channels N / --dies N   SSD geometry\n"
-        "  --jobs N            parallel workers: sweep points, and the "
-        "device queues within one multi-device run\n"
-        "  --csv FILE          append CSV rows to FILE\n"
-        "  --breakdown         print per-QoS-class breakdown per rate\n"
-        "  --metrics FILE      dump every instrument as JSON\n"
-        "  --metrics-csv FILE  dump every instrument as CSV\n"
-        "  --trace FILE        Chrome-trace event file (single sweep "
-        "point only)\n",
+        "(default 0)\n"
+        "  --breakdown         print per-QoS-class breakdown per rate\n",
         argv0);
+    opts.printUsage();
     std::exit(status);
 }
 
@@ -103,37 +76,26 @@ usage(const char *argv0, int status = 2)
 int
 main(int argc, char **argv)
 {
-    std::string platform_list = "CC,BG-2";
-    std::string workload_list = "amazon";
+    const char *tool = "bgnserve";
+    platforms::SharedOptions opts(tool, "CC,BG-2");
     std::string rate_list = "500,1000,2000,4000";
-    std::string slo_list;
-    std::string csv_path, metrics_path, metrics_csv_path, trace_path;
-    graph::NodeId nodes = 0;
     bool breakdown = false;
-
-    platforms::RunConfig rc;
     ServeConfig sc;
 
-    // BGN_JOBS is read wherever a worker count is resolved; check it
-    // like --jobs, before any thread starts.
-    if (const char *env = std::getenv("BGN_JOBS"))
-        platforms::flagInRange("bgnserve", "BGN_JOBS", env, 1,
-                               sim::SimExecutor::kMaxJobs);
-
     for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            return argv[++i];
+        if (opts.parse(argc, argv, i))
+            continue;
+        const std::string a = argv[i];
+        auto next = [&] {
+            return platforms::flagValue(tool, argc, argv, i);
         };
-        if (a == "--platform") platform_list = next();
-        else if (a == "--workload") workload_list = next();
-        else if (a == "--rates") rate_list = next();
+        auto count = [&](unsigned long hi) {
+            return flagInRange(tool, a.c_str(), next(), 0, hi);
+        };
+        if (a == "--rates") rate_list = next();
         else if (a == "--requests") sc.arrivals.requests =
-            std::strtoull(next(), nullptr, 10);
-        else if (a == "--seed") sc.arrivals.seed =
-            std::strtoull(next(), nullptr, 10);
+            count(UINT64_MAX);
+        else if (a == "--seed") sc.arrivals.seed = count(UINT64_MAX);
         else if (a == "--arrival") {
             std::string p = next();
             if (p == "poisson")
@@ -149,27 +111,20 @@ main(int argc, char **argv)
             }
         }
         else if (a == "--burst-factor") sc.arrivals.burstFactor =
-            std::strtod(next(), nullptr);
+            flagReal(tool, "--burst-factor", next());
         else if (a == "--max-batch") sc.policy.maxBatch =
-            static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+            static_cast<std::uint32_t>(count(UINT32_MAX));
         else if (a == "--timeout-us") sc.policy.timeout =
-            sim::microseconds(std::strtoull(next(), nullptr, 10));
+            sim::microseconds(
+                count(sim::kTickMax / sim::microseconds(1)));
         else if (a == "--tenants") sc.arrivals.tenants =
-            static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+            static_cast<std::uint32_t>(count(UINT32_MAX));
         else if (a == "--model") {
             sc.models.clear();
-            for (const auto &n : splitList(next())) {
-                auto k = gnn::findModelKind(n);
-                if (!k) {
-                    std::fprintf(stderr,
-                                 "bgnserve: unknown model '%s' "
-                                 "(valid: %s)\n",
-                                 n.c_str(),
-                                 gnn::modelKindList().c_str());
-                    return 2;
-                }
-                sc.models.push_back(*k);
-            }
+            for (const auto &n : splitList(next()))
+                sc.models.push_back(*platforms::known(
+                    tool, "model", n, gnn::findModelKind(n),
+                    gnn::modelKindList()));
             if (sc.models.empty()) {
                 std::fprintf(stderr,
                              "bgnserve: --model needs at least one "
@@ -178,211 +133,51 @@ main(int argc, char **argv)
                 return 2;
             }
         }
-        else if (a == "--slo-ms") slo_list = next();
-        else if (a == "--nodes") nodes = static_cast<graph::NodeId>(
-            std::strtoul(next(), nullptr, 10));
-        else if (a == "--devices") rc.topology.devices =
-            static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
-        else if (a == "--p2p-mbps") rc.topology.p2pMBps =
-            std::strtod(next(), nullptr);
-        else if (a == "--p2p-latency-us") rc.topology.p2pLatency =
-            sim::microseconds(static_cast<sim::Tick>(
-                std::strtoul(next(), nullptr, 10)));
-        else if (a == "--partition") {
-            std::string n = next();
-            auto p = platforms::findPartitionPolicy(n);
-            if (!p) {
+        else if (a == "--slo-ms") {
+            auto parts = splitList(next());
+            if (parts.size() != kQosClasses) {
                 std::fprintf(stderr,
-                             "bgnserve: unknown partition '%s' "
-                             "(valid: %s)\n",
-                             n.c_str(),
-                             platforms::partitionPolicyList().c_str());
+                             "bgnserve: --slo-ms needs %zu values\n",
+                             kQosClasses);
                 return 2;
             }
-            rc.topology.partition = *p;
+            for (std::size_t q = 0; q < kQosClasses; ++q)
+                sc.slo.target[q] = sim::milliseconds(flagInRange(
+                    tool, "--slo-ms", parts[q].c_str(), 0,
+                    sim::kTickMax / sim::milliseconds(1)));
         }
-        else if (a == "--replication") rc.topology.replication =
-            static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
-        else if (a == "--retry-prob") {
-            rc.system.disturb.retryProb = std::strtod(next(), nullptr);
-            if (rc.system.disturb.retryProb < 0.0 ||
-                rc.system.disturb.retryProb > 1.0) {
-                std::fprintf(stderr, "bgnserve: --retry-prob must be "
-                                     "in [0, 1]\n");
-                return 2;
-            }
-        }
-        else if (a == "--die-kill") {
-            for (const std::string &spec : splitList(next())) {
-                auto k = parseKillEvent(spec);
-                if (!k) {
-                    std::fprintf(stderr,
-                                 "bgnserve: bad --die-kill '%s' (want "
-                                 "DEV@US or DEV.DIE@US)\n",
-                                 spec.c_str());
-                    return 2;
-                }
-                rc.kills.push_back(*k);
-            }
-        }
-        else if (a == "--cache-mb") {
-            rc.cache.capacityMB = std::strtod(next(), nullptr);
-            if (rc.cache.capacityMB <= 0.0) {
-                std::fprintf(stderr,
-                             "bgnserve: --cache-mb must be positive "
-                             "(omit the flag to disable the cache)\n");
-                return 2;
-            }
-        }
-        else if (a == "--cache-policy") {
-            std::string n = next();
-            auto p = cache::findCachePolicy(n);
-            if (!p) {
-                std::fprintf(stderr,
-                             "bgnserve: unknown cache policy '%s' "
-                             "(valid: %s)\n",
-                             n.c_str(),
-                             cache::cachePolicyList().c_str());
-                return 2;
-            }
-            rc.cache.policy = *p;
-        }
-        else if (a == "--zipf-theta") {
-            sc.arrivals.zipfTheta = std::strtod(next(), nullptr);
-            if (sc.arrivals.zipfTheta <= 0.0) {
-                std::fprintf(stderr,
-                             "bgnserve: --zipf-theta must be positive "
-                             "(omit the flag for uniform targets)\n");
-                return 2;
-            }
-        }
-        else if (a == "--channels") rc.system.flash.channels =
-            static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
-        else if (a == "--dies") rc.system.flash.diesPerChannel =
-            static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
-        else if (a == "--jobs")
-            sim::SimExecutor::setDefaultJobs(
-                static_cast<unsigned>(platforms::flagInRange(
-                    "bgnserve", "--jobs", next(), 1,
-                    sim::SimExecutor::kMaxJobs)));
-        else if (a == "--csv") csv_path = next();
-        else if (a == "--metrics") metrics_path = next();
-        else if (a == "--metrics-csv") metrics_csv_path = next();
-        else if (a == "--trace") trace_path = next();
+        else if (a == "--zipf-theta") sc.arrivals.zipfTheta =
+            flagReal(tool, "--zipf-theta", next());
         else if (a == "--breakdown") breakdown = true;
-        else if (a == "--help" || a == "-h") usage(argv[0], 0);
+        else if (a == "--help" || a == "-h") usage(opts, argv[0], 0);
         else {
             std::fprintf(stderr, "bgnserve: unknown option '%s'\n",
                          a.c_str());
-            usage(argv[0]);
+            usage(opts, argv[0]);
         }
     }
 
-    // Resolve the sweep axes up front so bad names fail fast with the
-    // valid choices, before any expensive layout build.
-    std::vector<platforms::PlatformKind> kinds;
-    for (const auto &n : splitList(platform_list)) {
-        auto k = platforms::findPlatform(n);
-        if (!k) {
-            std::fprintf(stderr,
-                         "bgnserve: unknown platform '%s' (valid: %s)\n",
-                         n.c_str(),
-                         platforms::platformNameList().c_str());
-            return 2;
-        }
-        kinds.push_back(*k);
-    }
-    std::vector<const graph::WorkloadSpec *> specs;
-    for (const auto &n : splitList(workload_list)) {
-        const graph::WorkloadSpec *w = graph::findWorkload(n);
-        if (!w) {
-            std::fprintf(stderr,
-                         "bgnserve: unknown workload '%s' (valid: %s)\n",
-                         n.c_str(), graph::workloadNameList().c_str());
-            return 2;
-        }
-        specs.push_back(w);
-    }
+    // Every rate is a sweep point of the same stream config; validate
+    // each, then the platform config against the largest dispatch.
     std::vector<double> rates;
+    std::vector<std::string> reasons;
     for (const auto &r : splitList(rate_list)) {
-        double v = std::strtod(r.c_str(), nullptr);
-        if (v <= 0) {
-            std::fprintf(stderr, "bgnserve: bad rate '%s'\n", r.c_str());
-            return 2;
-        }
-        rates.push_back(v);
+        sc.arrivals.ratePerSec = flagReal(tool, "--rates", r.c_str());
+        rates.push_back(sc.arrivals.ratePerSec);
+        for (std::string &why : sc.validate())
+            reasons.push_back(std::move(why));
     }
-    if (kinds.empty() || specs.empty() || rates.empty())
-        usage(argv[0]);
-    if (rc.topology.devices == 0) {
-        std::fprintf(stderr, "bgnserve: --devices must be >= 1\n");
-        return 2;
-    }
-    if (rc.topology.replication == 0) {
-        std::fprintf(stderr, "bgnserve: --replication must be >= 1\n");
-        return 2;
-    }
-    for (const platforms::KillEvent &k : rc.kills) {
-        if (k.device >= rc.topology.devices) {
-            std::fprintf(stderr,
-                         "bgnserve: --die-kill names device %u of a "
-                         "%u-device topology\n",
-                         k.device, rc.topology.devices);
-            return 2;
-        }
-    }
-    if (rc.topology.multi()) {
-        for (platforms::PlatformKind k : kinds) {
-            auto p = platforms::makePlatform(k);
-            if (!p.flags.directGraph) {
-                std::fprintf(stderr,
-                             "bgnserve: --devices %u needs a streaming "
-                             "(DirectGraph) platform; '%s' is not\n",
-                             rc.topology.devices, p.name.c_str());
-                return 2;
-            }
-        }
-    }
-    if (!slo_list.empty()) {
-        auto parts = splitList(slo_list);
-        if (parts.size() != kQosClasses) {
-            std::fprintf(stderr,
-                         "bgnserve: --slo-ms needs %zu values\n",
-                         kQosClasses);
-            return 2;
-        }
-        for (std::size_t q = 0; q < kQosClasses; ++q)
-            sc.slo.target[q] = sim::milliseconds(
-                std::strtoull(parts[q].c_str(), nullptr, 10));
-    }
-
+    if (rates.empty())
+        reasons.push_back("--rates needs at least one rate");
     if (!sc.models.empty())
         sc.arrivals.modelCount =
             static_cast<std::uint32_t>(sc.models.size());
-
-    // One bundle per workload, shared read-only across the sweep.
-    gnn::ModelConfig model;
-    std::vector<std::unique_ptr<platforms::WorkloadBundle>> bundles;
-    for (const auto *w : specs)
-        bundles.push_back(
-            platforms::makeBundle(*w, rc.system.flash, model, nodes));
+    opts.run.batchSize = sc.policy.maxBatch;
+    opts.prepare(gnn::ModelConfig{}, rates.size(), std::move(reasons));
 
     const std::size_t nr = rates.size();
-    const std::size_t nw = specs.size();
-    const std::size_t total = kinds.size() * nw * nr;
-
-    if (!trace_path.empty() && total != 1) {
-        std::fprintf(stderr, "bgnserve: --trace requires a single "
-                             "sweep point\n");
-        return 2;
-    }
-    const bool want_metrics =
-        !metrics_path.empty() || !metrics_csv_path.empty();
-    std::vector<sim::MetricRegistry> regs(want_metrics ? total : 0);
-    sim::TraceSink sink;
-    if (!trace_path.empty())
-        rc.traceSink = &sink;
-
+    const std::size_t nw = opts.bundles.size();
+    const std::size_t total = opts.runs();
     sim::SimExecutor ex;
     if (total > 1)
         // stderr: stdout stays byte-identical across worker counts.
@@ -394,21 +189,17 @@ main(int argc, char **argv)
         std::size_t r = i % nr;
         ServeConfig point = sc;
         point.arrivals.ratePerSec = rates[r];
-        return serveWorkload(platforms::makePlatform(kinds[k]), rc,
-                             *bundles[w], point, nullptr,
-                             want_metrics ? &regs[i] : nullptr);
+        return serveWorkload(platforms::makePlatform(opts.kinds[k]),
+                             opts.run, *opts.bundles[w], point, nullptr,
+                             opts.registry(i));
     });
 
     std::ofstream csv;
-    if (!csv_path.empty()) {
-        bool fresh = !std::ifstream(csv_path).good();
-        csv.open(csv_path, std::ios::app);
-        if (fresh)
-            writeServeCsvHeader(csv);
-    }
+    if (!opts.csvPath.empty())
+        csv = opts.appendCsv(writeServeCsvHeader);
 
     bool ok = true;
-    for (std::size_t k = 0; k < kinds.size(); ++k) {
+    for (std::size_t k = 0; k < opts.kinds.size(); ++k) {
         for (std::size_t w = 0; w < nw; ++w) {
             const auto *first = &results[(k * nw + w) * nr];
             std::printf("\n%s on %s (%s arrivals, %llu requests, "
@@ -460,39 +251,11 @@ main(int argc, char **argv)
     }
     if (csv.is_open())
         std::printf("\nappended %zu CSV row(s) to %s\n", total,
-                    csv_path.c_str());
+                    opts.csvPath.c_str());
 
-    if (!metrics_path.empty()) {
-        std::ofstream out(metrics_path);
-        out << "{\"runs\": [";
-        for (std::size_t i = 0; i < total; ++i) {
-            out << (i == 0 ? "\n" : ",\n");
-            out << "{\"platform\": \"" << results[i].platform
-                << "\", \"workload\": \"" << results[i].workload
-                << "\", \"offered_rate\": " << results[i].offeredRate
-                << ", \"metrics\": ";
-            regs[i].writeJson(out);
-            out << "}";
-        }
-        out << "\n]}\n";
-        std::printf("wrote metrics snapshot to %s\n",
-                    metrics_path.c_str());
-    }
-    if (!metrics_csv_path.empty()) {
-        std::ofstream out(metrics_csv_path);
-        sim::MetricRegistry::writeCsvHeader(out, "platform,workload,");
-        for (std::size_t i = 0; i < total; ++i)
-            regs[i].writeCsv(out, results[i].platform + "," +
-                                      results[i].workload + ",");
-        std::printf("wrote metrics CSV to %s\n",
-                    metrics_csv_path.c_str());
-    }
-    if (!trace_path.empty()) {
-        std::ofstream out(trace_path);
-        sink.write(out);
-        std::printf("wrote %zu trace event(s) to %s%s\n",
-                    sink.events(), trace_path.c_str(),
-                    sink.dropped() ? " (truncated)" : "");
-    }
+    std::vector<platforms::RunLabel> labels;
+    for (const ServeResult &r : results)
+        labels.push_back({r.platform, r.workload, {}, r.offeredRate});
+    opts.writeOutputs(labels, "");
     return ok ? 0 : 1;
 }
