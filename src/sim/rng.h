@@ -110,6 +110,19 @@ keyedRandom(std::uint64_t seed, std::uint64_t batch, std::uint32_t hop,
     return splitmix64(k ^ draw);
 }
 
+/**
+ * Reduce 64 random bits to [0, bound) by a 128-bit multiply-shift.
+ * Unbiased enough for sampling and synthesis (the bias is below
+ * bound / 2^64), with no rejection loop, so a reduced draw is still a
+ * pure function of its bits.
+ */
+constexpr std::uint64_t
+reduceBelow(std::uint64_t bits, std::uint64_t bound)
+{
+    return static_cast<std::uint64_t>(
+        (static_cast<unsigned __int128>(bits) * bound) >> 64);
+}
+
 /** Keyed draw reduced to [0, bound). */
 constexpr std::uint64_t
 keyedBelow(std::uint64_t seed, std::uint64_t batch, std::uint32_t hop,
@@ -117,12 +130,7 @@ keyedBelow(std::uint64_t seed, std::uint64_t batch, std::uint32_t hop,
 {
     if (bound <= 1)
         return 0;
-    // 128-bit multiply-shift reduction keeps the draw unbiased enough
-    // for sampling purposes while staying order-independent.
-    return static_cast<std::uint64_t>(
-        (static_cast<unsigned __int128>(
-             keyedRandom(seed, batch, hop, node, draw)) *
-         bound) >> 64);
+    return reduceBelow(keyedRandom(seed, batch, hop, node, draw), bound);
 }
 
 } // namespace beacongnn::sim

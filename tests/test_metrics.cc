@@ -389,47 +389,47 @@ TEST_F(MetricsGolden, CcRunMatchesPreRefactorValues)
         *bundle);
     EXPECT_TRUE(r.ok);
     EXPECT_EQ(r.targets, 32u);
-    EXPECT_EQ(r.prepTime, 876780u);
-    EXPECT_EQ(r.totalTime, 878155u);
-    EXPECT_DOUBLE_EQ(r.throughput, 36440.036212285988);
-    EXPECT_EQ(r.tally.flashReads, 458u);
-    EXPECT_EQ(r.tally.channelBytes, 1875968u);
-    EXPECT_EQ(r.tally.dramBytes, 1875968u);
-    EXPECT_EQ(r.tally.pcieBytes, 1965568u);
-    EXPECT_EQ(r.tally.hostCpuBusy, 2037440u);
+    EXPECT_EQ(r.prepTime, 782112u);
+    EXPECT_EQ(r.totalTime, 783487u);
+    EXPECT_DOUBLE_EQ(r.throughput, 40843.051639657067);
+    EXPECT_EQ(r.tally.flashReads, 348u);
+    EXPECT_EQ(r.tally.channelBytes, 1425408u);
+    EXPECT_EQ(r.tally.dramBytes, 1425408u);
+    EXPECT_EQ(r.tally.pcieBytes, 1515008u);
+    EXPECT_EQ(r.tally.hostCpuBusy, 1597440u);
     EXPECT_EQ(r.tally.featureBytes, 89600u);
     EXPECT_EQ(r.tally.abortedCommands, 0u);
-    EXPECT_EQ(r.cmdStats.lifetime.count(), 458u);
-    EXPECT_DOUBLE_EQ(r.cmdStats.lifetime.sum(), 28972.661999999989);
-    EXPECT_DOUBLE_EQ(r.cmdStats.lifetime.mean(), 63.259087336244519);
-    EXPECT_DOUBLE_EQ(r.cmdStats.waitBefore.sum(), 23315.040000000074);
-    EXPECT_DOUBLE_EQ(r.cmdStats.flashTime.sum(), 3718.9599999999787);
-    EXPECT_DOUBLE_EQ(r.cmdStats.waitAfter.sum(), 1938.6619999999971);
-    EXPECT_EQ(r.cmdStats.lifetimeHist.summary().count(), 458u);
+    EXPECT_EQ(r.cmdStats.lifetime.count(), 348u);
+    EXPECT_DOUBLE_EQ(r.cmdStats.lifetime.sum(), 16452.543999999987);
+    EXPECT_DOUBLE_EQ(r.cmdStats.lifetime.mean(), 47.277425287356287);
+    EXPECT_DOUBLE_EQ(r.cmdStats.waitBefore.sum(), 11897.209999999974);
+    EXPECT_DOUBLE_EQ(r.cmdStats.flashTime.sum(), 2825.7599999999907);
+    EXPECT_DOUBLE_EQ(r.cmdStats.waitAfter.sum(), 1729.5739999999994);
+    EXPECT_EQ(r.cmdStats.lifetimeHist.summary().count(), 348u);
     EXPECT_DOUBLE_EQ(r.cmdStats.lifetimeHist.percentile(50),
-                     56.274509803921568);
+                     44.509803921568626);
     EXPECT_DOUBLE_EQ(r.cmdStats.lifetimeHist.percentile(99),
-                     140.84000000000003);
-    EXPECT_DOUBLE_EQ(r.dieUtil, 0.012223781678633043);
-    EXPECT_DOUBLE_EQ(r.channelUtil, 0.16689536585226983);
-    EXPECT_DOUBLE_EQ(r.coreUtil, 0.052154801828834314);
-    EXPECT_DOUBLE_EQ(r.dramUtil, 0.26703258536363172);
-    EXPECT_DOUBLE_EQ(r.pcieUtil, 0.27978659803793182);
+                     102.876);
+    EXPECT_DOUBLE_EQ(r.dieUtil, 0.01041019187299853);
+    EXPECT_DOUBLE_EQ(r.channelUtil, 0.14213381970600661);
+    EXPECT_DOUBLE_EQ(r.coreUtil, 0.044416818658127064);
+    EXPECT_DOUBLE_EQ(r.dramUtil, 0.22741411152961058);
+    EXPECT_DOUBLE_EQ(r.pcieUtil, 0.24170917960349056);
     EXPECT_EQ(r.accelBusy, 2750u);
-    EXPECT_EQ(r.hostBusy, 2037440u);
-    EXPECT_DOUBLE_EQ(r.energy.total(), 0.0043356781544000005);
-    EXPECT_DOUBLE_EQ(r.energy.flash, 0.00013740000000000001);
-    EXPECT_DOUBLE_EQ(r.energy.dram, 0.0003282944);
-    EXPECT_DOUBLE_EQ(r.energy.pcie, 0.00029483519999999998);
-    EXPECT_DOUBLE_EQ(r.energy.cores, 6.4120000000000003e-05);
+    EXPECT_EQ(r.hostBusy, 1597440u);
+    EXPECT_DOUBLE_EQ(r.energy.total(), 0.0034073897544000002);
+    EXPECT_DOUBLE_EQ(r.energy.flash, 0.0001044);
+    EXPECT_DOUBLE_EQ(r.energy.dram, 0.00024944639999999998);
+    EXPECT_DOUBLE_EQ(r.energy.pcie, 0.0002272512);
+    EXPECT_DOUBLE_EQ(r.energy.cores, 4.8719999999999994e-05);
     EXPECT_DOUBLE_EQ(r.energy.accel, 3.8252544000000002e-06);
     EXPECT_DOUBLE_EQ(r.energy.engines, 0.0);
-    EXPECT_DOUBLE_EQ(r.energy.channel, 0.0001875968);
-    EXPECT_DOUBLE_EQ(r.energy.hostCpu, 0.0030561600000000005);
-    EXPECT_DOUBLE_EQ(r.energy.background, 0.00026344649999999998);
-    EXPECT_DOUBLE_EQ(r.avgPowerW, 4.9372584047235399);
+    EXPECT_DOUBLE_EQ(r.energy.channel, 0.0001425408);
+    EXPECT_DOUBLE_EQ(r.energy.hostCpu, 0.00239616);
+    EXPECT_DOUBLE_EQ(r.energy.background, 0.00023504609999999999);
+    EXPECT_DOUBLE_EQ(r.avgPowerW, 4.3490061154811759);
     EXPECT_EQ(r.hops.size(), 3u);
-    EXPECT_EQ(r.lastBatchStart, 442652u);
+    EXPECT_EQ(r.lastBatchStart, 399554u);
     EXPECT_EQ(r.lastSubgraph.size(), 112u);
 }
 
@@ -440,47 +440,47 @@ TEST_F(MetricsGolden, Bg2RunMatchesPreRefactorValues)
         *bundle);
     EXPECT_TRUE(r.ok);
     EXPECT_EQ(r.targets, 32u);
-    EXPECT_EQ(r.prepTime, 121025u);
-    EXPECT_EQ(r.totalTime, 133589u);
-    EXPECT_DOUBLE_EQ(r.throughput, 239540.68074467208);
-    EXPECT_EQ(r.tally.flashReads, 234u);
-    EXPECT_EQ(r.tally.channelBytes, 95768u);
+    EXPECT_EQ(r.prepTime, 127185u);
+    EXPECT_EQ(r.totalTime, 139749u);
+    EXPECT_DOUBLE_EQ(r.throughput, 228981.96051492321);
+    EXPECT_EQ(r.tally.flashReads, 239u);
+    EXPECT_EQ(r.tally.channelBytes, 95908u);
     EXPECT_EQ(r.tally.dramBytes, 89600u);
     EXPECT_EQ(r.tally.pcieBytes, 0u);
     EXPECT_EQ(r.tally.hostCpuBusy, 1920u);
     EXPECT_EQ(r.tally.featureBytes, 89600u);
     EXPECT_EQ(r.tally.abortedCommands, 0u);
-    EXPECT_EQ(r.cmdStats.lifetime.count(), 234u);
-    EXPECT_DOUBLE_EQ(r.cmdStats.lifetime.sum(), 1228.8400000000004);
-    EXPECT_DOUBLE_EQ(r.cmdStats.lifetime.mean(), 5.251452991452993);
-    EXPECT_DOUBLE_EQ(r.cmdStats.waitBefore.sum(), 190.88999999999999);
-    EXPECT_DOUBLE_EQ(r.cmdStats.flashTime.sum(), 874.57000000000244);
-    EXPECT_DOUBLE_EQ(r.cmdStats.waitAfter.sum(), 163.37999999999988);
-    EXPECT_EQ(r.cmdStats.lifetimeHist.summary().count(), 234u);
+    EXPECT_EQ(r.cmdStats.lifetime.count(), 239u);
+    EXPECT_DOUBLE_EQ(r.cmdStats.lifetime.sum(), 1282.8200000000004);
+    EXPECT_DOUBLE_EQ(r.cmdStats.lifetime.mean(), 5.3674476987447717);
+    EXPECT_DOUBLE_EQ(r.cmdStats.waitBefore.sum(), 233.13499999999999);
+    EXPECT_DOUBLE_EQ(r.cmdStats.flashTime.sum(), 890.89500000000248);
+    EXPECT_DOUBLE_EQ(r.cmdStats.waitAfter.sum(), 158.78999999999991);
+    EXPECT_EQ(r.cmdStats.lifetimeHist.summary().count(), 239u);
     EXPECT_DOUBLE_EQ(r.cmdStats.lifetimeHist.percentile(50),
-                     5.1769911504424782);
+                     5.2876106194690262);
     EXPECT_DOUBLE_EQ(r.cmdStats.lifetimeHist.percentile(99),
-                     12.869999999999999);
-    EXPECT_DOUBLE_EQ(r.dieUtil, 0.044145429264385541);
-    EXPECT_DOUBLE_EQ(r.channelUtil, 0.056006669710829488);
+                     17.23);
+    EXPECT_DOUBLE_EQ(r.dieUtil, 0.043102388031399153);
+    EXPECT_DOUBLE_EQ(r.channelUtil, 0.053616215500647588);
     EXPECT_DOUBLE_EQ(r.coreUtil, 0.0);
-    EXPECT_DOUBLE_EQ(r.dramUtil, 0.16767847652127046);
+    EXPECT_DOUBLE_EQ(r.dramUtil, 0.16028737236044624);
     EXPECT_DOUBLE_EQ(r.pcieUtil, 0.0);
     EXPECT_EQ(r.accelBusy, 25128u);
     EXPECT_EQ(r.hostBusy, 1920u);
-    EXPECT_DOUBLE_EQ(r.energy.total(), 0.0001424415136);
-    EXPECT_DOUBLE_EQ(r.energy.flash, 7.0199999999999999e-05);
+    EXPECT_DOUBLE_EQ(r.energy.total(), 0.0001458041636);
+    EXPECT_DOUBLE_EQ(r.energy.flash, 7.1700000000000008e-05);
     EXPECT_DOUBLE_EQ(r.energy.dram, 1.5679999999999999e-05);
     EXPECT_DOUBLE_EQ(r.energy.pcie, 0.0);
     EXPECT_DOUBLE_EQ(r.energy.cores, 0.0);
     EXPECT_DOUBLE_EQ(r.energy.accel, 3.9975936000000001e-06);
-    EXPECT_DOUBLE_EQ(r.energy.engines, 3.0420000000000004e-08);
-    EXPECT_DOUBLE_EQ(r.energy.channel, 9.5767999999999995e-06);
+    EXPECT_DOUBLE_EQ(r.energy.engines, 3.107e-08);
+    EXPECT_DOUBLE_EQ(r.energy.channel, 9.5907999999999997e-06);
     EXPECT_DOUBLE_EQ(r.energy.hostCpu, 2.8799999999999995e-06);
-    EXPECT_DOUBLE_EQ(r.energy.background, 4.0076700000000002e-05);
-    EXPECT_DOUBLE_EQ(r.avgPowerW, 1.0662667854389207);
+    EXPECT_DOUBLE_EQ(r.energy.background, 4.1924699999999995e-05);
+    EXPECT_DOUBLE_EQ(r.avgPowerW, 1.0433288510114562);
     EXPECT_EQ(r.hops.size(), 3u);
-    EXPECT_EQ(r.lastBatchStart, 61215u);
+    EXPECT_EQ(r.lastBatchStart, 65620u);
     EXPECT_EQ(r.lastSubgraph.size(), 112u);
 }
 
@@ -588,24 +588,25 @@ TEST_F(MetricsGolden, OutputFingerprintsAreByteIdentical)
         double cacheMB;
         OutputHashes want;
     };
-    // Recorded from the build before the one-lane engine refactor.
+    // Re-recorded when synthetic edge endpoints moved to a keyed hash
+    // (DESIGN.md §1); a later change must keep them.
     using platforms::PlatformKind;
     const Case cases[] = {
         {PlatformKind::BG2, 1, 0.0,
-         {1065245032253645060ull, 6050931979510505401ull,
-          15070095969374196999ull}},
+         {12549097182729167853ull, 7933136290452139242ull,
+          14627951149616443495ull}},
         {PlatformKind::BG_DG, 1, 0.0,
-         {14451344959236931196ull, 1161242170762315202ull,
-          6220199263706560887ull}},
+         {10657189342510598239ull, 5588938053805999691ull,
+          11406809952876936279ull}},
         {PlatformKind::BG_SP, 1, 0.0,
-         {17694428741150162692ull, 6608954509745380460ull,
-          6317750401560569128ull}},
+         {17420527098303954818ull, 18160217753819193287ull,
+          11205067995643979352ull}},
         {PlatformKind::CC, 1, 0.0,
-         {12770422643387786379ull, 4124204018268900924ull,
-          8899054942433634799ull}},
+         {17161392799103157594ull, 3796097595115438208ull,
+          10962583445654558594ull}},
         {PlatformKind::BG2, 2, 1.0,
-         {15011497736008152590ull, 13051761652879844376ull,
-          13500709917812222728ull}},
+         {15726236604763283479ull, 16164247381988858217ull,
+          15192049295024091263ull}},
     };
     for (const Case &c : cases) {
         SCOPED_TRACE(platforms::platformName(c.kind) + " x" +
