@@ -80,7 +80,7 @@ class LayoutSource : public SectionSource
         if (!sp)
             return std::nullopt;
         const NodeLayout &nl = layout.nodes[sp->node];
-        std::span<const graph::NodeId> ids = g.neighbors(sp->node);
+        const std::uint64_t first = g.firstEdge(sp->node);
         SectionData s;
         s.type = sp->type;
         s.node = sp->node;
@@ -89,14 +89,14 @@ class LayoutSource : public SectionSource
             s.hasFeature = layout.featureDim > 0;
             s.inPage = nl.inPage;
             s.secondaries = nl.secondaries;
-            s.viewLayout(ids.first(nl.inPage), layout.nodes.data());
+            s.viewLayout(g, first, nl.inPage, layout.nodes.data());
         } else {
             std::uint32_t start = nl.inPage;
             for (std::uint32_t j = 0; j < sp->secondaryIdx; ++j)
                 start += nl.secondaries[j].count;
             std::uint32_t count = nl.secondaries[sp->secondaryIdx].count;
             s.totalNeighbors = count;
-            s.viewLayout(ids.subspan(start, count), layout.nodes.data());
+            s.viewLayout(g, first + start, count, layout.nodes.data());
         }
         return s;
     }

@@ -72,9 +72,8 @@ class PageRankProgram final : public VertexProgram
                 continue;
             const double share =
                 cfg.damping * rank[u] / static_cast<double>(deg);
-            for (graph::NodeId w :
-                 g.neighbors(static_cast<graph::NodeId>(u)))
-                next[w] += share;
+            for (std::uint32_t i = 0; i < deg; ++i)
+                next[g.neighbor(static_cast<graph::NodeId>(u), i)] += share;
         }
         double residual = 0.0;
         for (std::size_t v = 0; v < n; ++v)
@@ -131,7 +130,8 @@ class BfsProgram final : public VertexProgram
         ++depth;
         std::vector<graph::NodeId> next;
         for (graph::NodeId u : wave) {
-            for (graph::NodeId w : g.neighbors(u)) {
+            for (std::uint32_t i = 0, d = g.degree(u); i < d; ++i) {
+                const graph::NodeId w = g.neighbor(u, i);
                 if (dist[w] < 0.0) {
                     dist[w] = static_cast<double>(depth);
                     next.push_back(w);
@@ -201,7 +201,8 @@ class KCoreProgram final : public VertexProgram
         }
         std::vector<graph::NodeId> next;
         for (graph::NodeId v : peeled) {
-            for (graph::NodeId w : g.neighbors(v)) {
+            for (std::uint32_t i = 0, d = g.degree(v); i < d; ++i) {
+                const graph::NodeId w = g.neighbor(v, i);
                 if (inCore[w] > 0.0) {
                     --deg[w];
                     next.push_back(w);

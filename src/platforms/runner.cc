@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "gnn/compute.h"
 #include "platforms/device_context.h"
@@ -22,15 +23,22 @@ makeBundle(const graph::WorkloadSpec &spec,
            const flash::FlashConfig &flash_cfg, gnn::ModelConfig model,
            graph::NodeId node_override)
 {
-    auto bundle = std::make_unique<WorkloadBundle>();
-    WorkloadBundle &b = *bundle;
-    b.name = spec.name;
     graph::WorkloadSpec s = spec;
     if (node_override != 0)
         s.simNodes = node_override;
-    b.graph = s.makeGraph();
-    b.features = s.makeFeatures();
-    model.featureDim = s.featureDim;
+    return makeBundle(s, s.makeGraph(), flash_cfg, model);
+}
+
+std::unique_ptr<WorkloadBundle>
+makeBundle(const graph::WorkloadSpec &spec, graph::Graph graph,
+           const flash::FlashConfig &flash_cfg, gnn::ModelConfig model)
+{
+    auto bundle = std::make_unique<WorkloadBundle>();
+    WorkloadBundle &b = *bundle;
+    b.name = spec.name;
+    b.graph = std::move(graph);
+    b.features = spec.makeFeatures();
+    model.featureDim = spec.featureDim;
     b.model = model;
 
     // Reserve enough blocks for the layout: raw volume with generous

@@ -81,11 +81,8 @@ TEST(CsrSampler, ShapeAndMembership)
             continue;
         graph::NodeId parent = sg[e.parent].node;
         bool found = false;
-        for (graph::NodeId n : g.neighbors(parent))
-            if (n == e.node) {
-                found = true;
-                break;
-            }
+        for (std::uint32_t i = 0; i < g.degree(parent) && !found; ++i)
+            found = g.neighbor(parent, i) == e.node;
         EXPECT_TRUE(found) << "slot " << s;
         EXPECT_EQ(e.hop, sg[e.parent].hop + 1);
     }
@@ -248,9 +245,8 @@ TEST(LayoutSampler, SpilledNodesStillSampleOwnNeighbors)
             continue;
         graph::NodeId parent = sg[e.parent].node;
         bool found = false;
-        for (graph::NodeId n : g.neighbors(parent))
-            if (n == e.node)
-                found = true;
+        for (std::uint32_t i = 0; i < g.degree(parent) && !found; ++i)
+            found = g.neighbor(parent, i) == e.node;
         EXPECT_TRUE(found);
     }
     // Hop-1 children of node 0 exist with full fanout.

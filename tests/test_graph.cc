@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "graph/dataset.h"
 #include "graph/generator.h"
@@ -26,9 +28,9 @@ TEST(Graph, AdjacencyConstruction)
     EXPECT_EQ(g.degree(2), 0u);
     EXPECT_EQ(g.degree(3), 3u);
     EXPECT_EQ(g.neighbor(0, 1), 2u);
-    auto n3 = g.neighbors(3);
-    ASSERT_EQ(n3.size(), 3u);
-    EXPECT_EQ(n3[0], 0u);
+    EXPECT_EQ(g.firstEdge(3), 3u);
+    EXPECT_EQ(g.neighbor(3, 0), 0u);
+    EXPECT_EQ(g.edgeTarget(3), 0u);
     EXPECT_DOUBLE_EQ(g.avgDegree(), 1.5);
 }
 
@@ -63,8 +65,8 @@ TEST(Generator, PowerLawHitsAverageDegree)
     EXPECT_NEAR(g.avgDegree(), 48.0, 48.0 * 0.1);
     // All endpoints in range.
     for (NodeId v = 0; v < 100; ++v)
-        for (NodeId n : g.neighbors(v))
-            EXPECT_LT(n, g.numNodes());
+        for (std::uint32_t i = 0; i < g.degree(v); ++i)
+            EXPECT_LT(g.neighbor(v, i), g.numNodes());
 }
 
 TEST(Generator, PowerLawIsSkewed)
@@ -114,6 +116,48 @@ TEST(Generator, SeedChangesGraph)
         differs = a.degree(v) != b.degree(v) ||
                   (a.degree(v) > 0 && a.neighbor(v, 0) != b.neighbor(v, 0));
     EXPECT_TRUE(differs);
+}
+
+TEST(Generator, EveryEndpointIsInRangeAndFixedBySeed)
+{
+    GeneratorParams p;
+    p.nodes = 3000;
+    p.avgDegree = 40;
+    p.seed = 11;
+    const Graph a = generatePowerLaw(p);
+    const Graph again = generatePowerLaw(p);
+    p.seed = 12;
+    const Graph other = generatePowerLaw(p);
+    ASSERT_EQ(a.numEdges(), again.numEdges());
+    std::uint64_t same_as_other = 0;
+    const std::uint64_t shared = std::min(a.numEdges(), other.numEdges());
+    for (std::uint64_t e = 0; e < a.numEdges(); ++e) {
+        ASSERT_LT(a.edgeTarget(e), p.nodes) << "edge " << e;
+        ASSERT_EQ(a.edgeTarget(e), again.edgeTarget(e)) << "edge " << e;
+        if (e < shared && a.edgeTarget(e) == other.edgeTarget(e))
+            ++same_as_other;
+    }
+    // Another seed keys another stream: endpoints agree only by chance
+    // (expected 1 in 3,000).
+    EXPECT_LT(same_as_other, shared / 100);
+}
+
+TEST(Generator, EndpointsAreNearUniform)
+{
+    GeneratorParams p;
+    p.nodes = 1000;
+    p.avgDegree = 200;
+    const Graph g = generatePowerLaw(p);
+    // Ten equal bins of node ids; each expects a tenth of the edges,
+    // with a standard deviation near 0.7% of that at ~200k edges.
+    constexpr unsigned kBins = 10;
+    std::vector<std::uint64_t> bins(kBins, 0);
+    for (std::uint64_t e = 0; e < g.numEdges(); ++e)
+        ++bins[g.edgeTarget(e) * kBins / p.nodes];
+    const double expect = static_cast<double>(g.numEdges()) / kBins;
+    for (unsigned b = 0; b < kBins; ++b)
+        EXPECT_NEAR(static_cast<double>(bins[b]), expect, 0.05 * expect)
+            << "bin " << b;
 }
 
 TEST(FeatureTable, DeterministicAndSeeded)

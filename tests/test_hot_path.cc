@@ -10,7 +10,9 @@
  * callback in a reused slot, the die sampler draws into caller-owned
  * storage and the engine reuses one result buffer per device.
  *
- * The counts are exact, not timed, so the bounds are deterministic.
+ * The same counter also totals the bytes requested, which bounds the
+ * memory a synthetic graph costs. The counts are exact, not timed, so
+ * the bounds are deterministic.
  * The checked build's validator allocates per event by design, so the
  * tests skip there.
  */
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "gnn/compute.h"
+#include "graph/dataset.h"
 #include "platforms/runner.h"
 #include "sim/rng.h"
 #include "sim/validator.h"
@@ -30,11 +33,13 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
 
 void *
 countedAlloc(std::size_t n)
 {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(n, std::memory_order_relaxed);
     if (void *p = std::malloc(n ? n : 1))
         return p;
     throw std::bad_alloc();
@@ -44,6 +49,7 @@ void *
 countedAlignedAlloc(std::size_t n, std::align_val_t al)
 {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(n, std::memory_order_relaxed);
     const std::size_t a = static_cast<std::size_t>(al);
     // aligned_alloc wants a size that is a multiple of the alignment.
     if (void *p = std::aligned_alloc(a, (n + a - 1) / a * a))
@@ -213,6 +219,24 @@ TEST(HotPath, MeasureComputeAllocationsDoNotGrowWithTheSubgraph)
     const std::uint64_t small = measureComputeAllocations(1);
     EXPECT_EQ(measureComputeAllocations(1000), small);
     EXPECT_LT(small, 16u);
+}
+
+TEST(HotPath, SyntheticGraphAllocatesONodes)
+{
+    // A synthetic graph stores only its offsets, 8 B per node plus one;
+    // every edge endpoint is derived from a keyed hash on demand. The
+    // slack covers small bookkeeping, far below one stored 4-byte
+    // endpoint per edge (amazon averages 1,680 edges per node).
+    constexpr std::uint64_t kSlackBytes = 4096;
+    const graph::WorkloadSpec &spec = graph::workload("amazon");
+    const std::uint64_t bound =
+        (std::uint64_t{spec.simNodes} + 1) * 8 + kSlackBytes;
+    const std::uint64_t before = g_bytes.load();
+    const graph::Graph g = spec.makeGraph();
+    const std::uint64_t used = g_bytes.load() - before;
+    EXPECT_LE(used, bound);
+    EXPECT_EQ(g.numNodes(), spec.simNodes);
+    EXPECT_GT(g.numEdges() * 4, 100 * bound);
 }
 
 } // namespace
