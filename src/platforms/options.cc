@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string_view>
 
@@ -36,6 +37,29 @@ joined(const std::vector<std::string> &reasons)
     for (const std::string &r : reasons)
         out += (out.empty() ? "" : "; ") + r;
     return out;
+}
+
+/**
+ * Append a reason to @p reasons when a link of @p mbps (already checked
+ * finite and > 0) cannot carry its largest transfer in a tick count
+ * that fits sim::Tick. Every transfer's byte count is a uint32 (a page,
+ * a result or config frame, a forwarded command), so the bound is the
+ * time of 2^32 - 1 bytes.
+ */
+void
+requireTickRate(std::vector<std::string> &reasons, const char *what,
+                double mbps)
+{
+    const double worst_ns =
+        static_cast<double>(std::numeric_limits<std::uint32_t>::max()) *
+        1000.0 / mbps;
+    if (!(mbps > 0.0) || !std::isfinite(mbps) || worst_ns < 0x1p64)
+        return;
+    std::ostringstream s;
+    s << what << " of " << mbps
+      << " is too small: a 4 GiB transfer would take more ticks than a "
+         "64-bit tick count holds";
+    reasons.push_back(s.str());
 }
 
 } // namespace
@@ -405,6 +429,7 @@ RunConfig::validate(const PlatformConfig &platform,
     if (topo.replication < 1)
         fail("replication must be >= 1");
     requireFinite(r, "P2P bandwidth (MB/s)", topo.p2pMBps, 0);
+    requireTickRate(r, "P2P bandwidth (MB/s)", topo.p2pMBps);
 
     if (fc.channels < 1)
         fail("flash channels must be >= 1");
@@ -415,6 +440,7 @@ RunConfig::validate(const PlatformConfig &platform,
     if (system.controller.cores < 1)
         fail("controller cores must be >= 1");
     requireFinite(r, "channel bandwidth (MB/s)", fc.channelMBps, 0);
+    requireTickRate(r, "channel bandwidth (MB/s)", fc.channelMBps);
     const double retry = system.disturb.retryProb;
     if (!(retry >= 0.0 && retry <= 1.0)) {
         std::ostringstream s;

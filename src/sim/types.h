@@ -44,7 +44,10 @@ constexpr std::uint64_t gib(std::uint64_t n)
  *
  * @param bytes      Number of bytes transferred.
  * @param mbytes_per_s Bandwidth in 10^6 bytes per second.
- * @return Transfer duration in ticks (>= 1 for any nonzero transfer).
+ * @return Transfer duration in ticks (>= 1 for any nonzero transfer),
+ *         or kTickMax when the duration does not fit a Tick (a rate
+ *         that small is rejected by the config validators; this only
+ *         keeps the conversion defined).
  */
 constexpr Tick
 transferTime(std::uint64_t bytes, double mbytes_per_s)
@@ -52,6 +55,8 @@ transferTime(std::uint64_t bytes, double mbytes_per_s)
     if (bytes == 0 || mbytes_per_s <= 0.0)
         return 0;
     double ns = static_cast<double>(bytes) * 1000.0 / mbytes_per_s;
+    if (!(ns < 0x1p64))
+        return kTickMax;
     Tick t = static_cast<Tick>(ns);
     return t == 0 ? 1 : t;
 }

@@ -412,6 +412,23 @@ TEST(RunConfigValidate, ReportsEveryReasonAtOnce)
         EXPECT_TRUE(mentions(reasons, what)) << what;
 }
 
+TEST(RunConfigValidate, EveryTransferTimeFitsATick)
+{
+    // A transfer's byte count is a uint32: 2^32 - 1 bytes must take
+    // under 2^64 ns, so the floor is about 2.33e-7 MB/s on each link.
+    auto bg2 = makePlatform(PlatformKind::BG2);
+    RunConfig rc;
+    rc.system.flash.channelMBps = 2.4e-7;
+    rc.topology.p2pMBps = 2.4e-7;
+    EXPECT_TRUE(rc.validate(bg2, {}).empty());
+    rc.system.flash.channelMBps = 2.3e-7;
+    rc.topology.p2pMBps = 1e-300;
+    auto reasons = rc.validate(bg2, {});
+    EXPECT_EQ(reasons.size(), 2u);
+    EXPECT_TRUE(mentions(reasons, "channel bandwidth"));
+    EXPECT_TRUE(mentions(reasons, "P2P bandwidth"));
+}
+
 TEST(RunConfigValidate, DeviceCountAndKillTargetsAreBounded)
 {
     auto bg2 = makePlatform(PlatformKind::BG2);

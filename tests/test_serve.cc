@@ -489,4 +489,17 @@ TEST(ServeConfigValidate, ServeWorkloadRejectsAnEmptyStream)
                 "serveWorkload: requests must be >= 1");
 }
 
+TEST(ServeConfigValidate, ServeWorkloadRejectsATinyChannelBandwidth)
+{
+    // bgnserve has no --channel-mbps flag; a library caller can still
+    // set a rate at which one transfer overflows the tick type.
+    auto bundle = tinyBundle();
+    platforms::RunConfig rc;
+    rc.system.flash.channelMBps = 1e-300;
+    EXPECT_EXIT(serveWorkload(platforms::makePlatform(
+                                  platforms::PlatformKind::BG2),
+                              rc, *bundle, ServeConfig{}),
+                ::testing::ExitedWithCode(1), "channel bandwidth");
+}
+
 } // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <utility>
@@ -39,6 +40,9 @@ TEST(Units, TransferTime)
     EXPECT_EQ(transferTime(0, 800.0), 0u);
     // Tiny transfers still take at least one tick.
     EXPECT_GE(transferTime(1, 1e9), 1u);
+    // A duration past the tick range saturates instead of wrapping.
+    EXPECT_EQ(transferTime(4096, 1e-300), kTickMax);
+    EXPECT_EQ(transferTime(4096, std::nan("")), kTickMax);
 }
 
 TEST(EventQueue, OrdersByTime)
