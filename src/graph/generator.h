@@ -32,7 +32,9 @@ struct GeneratorParams
 
 /**
  * Generate a directed graph with a truncated-power-law out-degree
- * distribution rescaled to hit @p params.avgDegree on average.
+ * distribution rescaled to hit @p params.avgDegree on average. The
+ * graph is in keyed form: it stores only its offsets, and each
+ * uniform endpoint is derived from the seed and the edge index.
  */
 Graph generatePowerLaw(const GeneratorParams &params);
 
