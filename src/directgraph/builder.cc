@@ -9,13 +9,6 @@ namespace beacongnn::dg {
 
 namespace {
 
-/** Pre-computed section plan for one node (Algorithm 1, step 1). */
-struct NodePlan
-{
-    std::uint32_t inPage = 0;
-    std::vector<std::uint32_t> secondaryCounts;
-};
-
 /** Largest section a page of @p page_size bytes can hold: the whole
  *  page, but never more than the 16-bit sectionBytes field encodes. */
 std::uint32_t
@@ -26,46 +19,42 @@ sectionLimit(std::uint32_t page_size)
 
 /**
  * Decide how a node's neighbours split between its primary section
- * and secondary sections. Nodes whose full record fits in one section
- * keep everything in the primary; otherwise the primary fills a whole
- * section and the remainder spills into secondaries.
+ * and secondary sections (Algorithm 1, step 1). Nodes whose full
+ * record fits in one section keep everything in the primary;
+ * otherwise the primary fills a whole section and the remainder
+ * spills into secondaries, each appended to @p secondaries with its
+ * count and an address the packer fills in later.
+ *
+ * @return Neighbours kept in the primary section.
  */
-NodePlan
+std::uint32_t
 planNode(std::uint32_t degree, std::uint32_t feat_bytes,
-         std::uint32_t page_size)
+         std::uint32_t page_size, std::vector<SecondaryRef> &secondaries)
 {
-    NodePlan plan;
     const std::uint32_t limit = sectionLimit(page_size);
-    if (primarySectionBytes(0, feat_bytes, degree) <= limit) {
-        plan.inPage = degree;
-        return plan;
-    }
+    if (primarySectionBytes(0, feat_bytes, degree) <= limit)
+        return degree;
     const std::uint32_t sec_cap = (limit - kHeaderBytes) / kAddrBytes;
     // Fixed-point iteration: more secondaries shrink the primary's
     // in-page capacity (each ref costs 8 B), which may require yet
     // another secondary. Converges in a couple of steps.
-    std::uint32_t s = 1;
     std::uint32_t in_page = 0;
-    for (;;) {
+    for (std::uint32_t s = 1;;) {
         std::uint32_t meta = kHeaderBytes + s * kSecondaryRefBytes +
                              feat_bytes;
         in_page = meta >= limit ? 0 : (limit - meta) / kAddrBytes;
         in_page = std::min(in_page, degree);
-        std::uint32_t spill = degree - in_page;
-        std::uint32_t need =
-            (spill + sec_cap - 1) / sec_cap;
+        std::uint32_t need = (degree - in_page + sec_cap - 1) / sec_cap;
         if (need <= s)
             break;
         s = need;
     }
-    plan.inPage = in_page;
-    std::uint32_t spill = degree - in_page;
-    while (spill > 0) {
+    for (std::uint32_t spill = degree - in_page; spill > 0;) {
         std::uint32_t c = std::min(spill, sec_cap);
-        plan.secondaryCounts.push_back(c);
+        secondaries.push_back({DgAddress{}, c});
         spill -= c;
     }
-    return plan;
+    return in_page;
 }
 
 /** Section placements in placement order, keyed by their page. */
@@ -86,13 +75,11 @@ struct OpenPage
 class Packer
 {
   public:
-    Packer(DirectGraphLayout &layout_, Placements &placed_,
+    Packer(DirectGraphLayout &layout_,
            std::span<const flash::BlockId> blocks_,
-           const flash::FlashConfig &cfg_, const BuilderOptions &opts,
-           std::uint64_t &pages_used, std::uint64_t &blocks_touched)
-        : layout(layout_), placed(placed_), blocks(blocks_), cfg(cfg_),
-          poolLimit(std::max(1u, opts.openPagePool)),
-          pagesUsed(pages_used), blocksTouched(blocks_touched)
+           const flash::FlashConfig &cfg_, const BuilderOptions &opts)
+        : layout(layout_), blocks(blocks_), cfg(cfg_),
+          poolLimit(std::max(1u, opts.openPagePool))
     {
         // Pages stripe round-robin across a window of reserved blocks
         // so even a scaled-down dataset exercises every channel and
@@ -147,20 +134,21 @@ class Packer
         OpenPage &p = pool[static_cast<std::size_t>(best)];
         std::uint32_t offset = alignSection(p.used);
         DgAddress addr(p.ppa, p.sections);
-
-        SectionPlacement sp;
-        sp.node = node;
-        sp.type = type;
-        sp.byteOffset = offset;
-        sp.byteSize = size;
-        sp.secondaryIdx = secondary_idx;
-        placed.emplace_back(p.ppa, sp);
-
+        placed.push_back(
+            {p.ppa, SectionPlacement{node, type, offset, size,
+                                     secondary_idx}});
         p.used = offset + size;
         ++p.sections;
         layout.stats.usedBytes += size;
         return addr;
     }
+
+    /** Retire every open page: later sections start a new stream. */
+    void closePages() { pool.clear(); }
+
+    Placements placed; ///< Every placement, in placement order.
+    std::uint64_t pagesUsed = 0;
+    std::uint64_t blocksTouched = 0;
 
   private:
     flash::Ppa
@@ -181,12 +169,9 @@ class Packer
     }
 
     DirectGraphLayout &layout;
-    Placements &placed;
     std::span<const flash::BlockId> blocks;
     const flash::FlashConfig &cfg;
     unsigned poolLimit;
-    std::uint64_t &pagesUsed;
-    std::uint64_t &blocksTouched;
     std::uint64_t stripe = 1;
     std::vector<OpenPage> pool;
 };
@@ -211,63 +196,47 @@ buildLayout(const graph::Graph &g, const graph::FeatureTable &features,
     layout.nodes.resize(n);
 
     // ---- Step 1: plan sections per node -------------------------
-    std::vector<NodePlan> plans(n);
     for (graph::NodeId v = 0; v < n; ++v) {
-        plans[v] = planNode(g.degree(v), feat_bytes, cfg.pageSize);
-        layout.nodes[v].degree = g.degree(v);
-        layout.nodes[v].inPage = plans[v].inPage;
+        NodeLayout &nl = layout.nodes[v];
+        nl.firstSecondary =
+            static_cast<std::uint32_t>(layout.secondaries.size());
+        nl.inPage = planNode(g.degree(v), feat_bytes, cfg.pageSize,
+                             layout.secondaries);
     }
 
     // ---- Step 1b: map sections to physical pages ----------------
     // Primary and secondary pages are packed as separate streams
     // (the two page types of Fig. 8) drawn from one page sequence.
-    std::uint64_t pages_used = 0;
-    std::uint64_t blocks_touched = 0;
-    std::size_t sections = n;
-    for (const auto &plan : plans)
-        sections += plan.secondaryCounts.size();
-    Placements placed;
-    placed.reserve(sections);
-    Packer primary_packer(layout, placed, blocks, cfg, opts, pages_used,
-                          blocks_touched);
+    Packer packer(layout, blocks, cfg, opts);
+    packer.placed.reserve(n + layout.secondaries.size());
     for (graph::NodeId v = 0; v < n; ++v) {
-        const auto &plan = plans[v];
+        NodeLayout &nl = layout.nodes[v];
         std::uint32_t size = primarySectionBytes(
-            static_cast<std::uint32_t>(plan.secondaryCounts.size()),
-            feat_bytes, plan.inPage);
-        layout.nodes[v].primary =
-            primary_packer.place(v, SectionType::Primary, size, 0);
+            static_cast<std::uint32_t>(layout.secondariesOf(v).size()),
+            feat_bytes, nl.inPage);
+        nl.primary = packer.place(v, SectionType::Primary, size, 0);
     }
-    layout.stats.primaryPages = pages_used;
+    layout.stats.primaryPages = packer.pagesUsed;
 
-    Packer secondary_packer(layout, placed, blocks, cfg, opts, pages_used,
-                            blocks_touched);
+    packer.closePages();
     for (graph::NodeId v = 0; v < n; ++v) {
-        const auto &plan = plans[v];
-        if (plan.secondaryCounts.empty())
-            continue;
-        ++layout.stats.nodesWithSecondaries;
-        for (std::uint32_t j = 0; j < plan.secondaryCounts.size(); ++j) {
-            std::uint32_t c = plan.secondaryCounts[j];
-            DgAddress a = secondary_packer.place(
-                v, SectionType::Secondary, secondarySectionBytes(c), j);
-            layout.nodes[v].secondaries.push_back({a, c});
-            ++layout.stats.secondarySections;
-        }
+        const std::uint32_t first = layout.nodes[v].firstSecondary;
+        const std::span<const SecondaryRef> secs = layout.secondariesOf(v);
+        layout.stats.nodesWithSecondaries += !secs.empty();
+        for (std::uint32_t j = 0; j < secs.size(); ++j)
+            layout.secondaries[first + j].addr =
+                packer.place(v, SectionType::Secondary,
+                             secondarySectionBytes(secs[j].count), j);
     }
-    layout.stats.secondaryPages = pages_used - layout.stats.primaryPages;
-    // Free the plans first, so the directory build's copy of the
-    // placements does not raise the peak footprint.
-    plans = std::vector<NodePlan>();
-    layout.pages = PageDirectory(placed);
+    layout.stats.secondaryPages =
+        packer.pagesUsed - layout.stats.primaryPages;
+    layout.pages = PageDirectory(packer.placed);
 
     // ---- Accounting (Table IV) -----------------------------------
-    layout.blocks.assign(
-        blocks.begin(),
-        blocks.begin() + static_cast<std::ptrdiff_t>(blocks_touched));
-    std::uint64_t blocks_used = blocks_touched;
-    layout.stats.flashBytes = pages_used * cfg.pageSize;
-    layout.stats.blockBytes = blocks_used *
+    const auto touched = blocks.first(packer.blocksTouched);
+    layout.blocks.assign(touched.begin(), touched.end());
+    layout.stats.flashBytes = packer.pagesUsed * cfg.pageSize;
+    layout.stats.blockBytes = packer.blocksTouched *
                               std::uint64_t{cfg.pagesPerBlock} *
                               cfg.pageSize;
     layout.stats.rawBytes =
@@ -282,31 +251,20 @@ encodePageImage(const DirectGraphLayout &layout, const graph::Graph &g,
 {
     std::fill(buf.begin(), buf.end(), std::uint8_t{0});
     std::vector<std::uint8_t> feat(features.bytesPerNode());
+    std::vector<DgAddress> addrs;
     for (const auto &sp : layout.pages.sectionsOf(ppa)) {
-        const NodeLayout &nl = layout.nodes[sp.node];
+        const auto [first, count] = layout.edgeRange(sp);
+        addrs.clear();
+        for (std::uint32_t i = 0; i < count; ++i)
+            addrs.push_back(
+                layout.primaryOf(g.neighbor(sp.node, first + i)));
         std::span<std::uint8_t> out =
             buf.subspan(sp.byteOffset, sp.byteSize);
         if (sp.type == SectionType::Primary) {
             features.fill(sp.node, feat);
-            std::vector<DgAddress> in_page;
-            in_page.reserve(nl.inPage);
-            for (std::uint32_t i = 0; i < nl.inPage; ++i)
-                in_page.push_back(
-                    layout.nodes[g.neighbor(sp.node, i)].primary);
-            encodePrimary(out, sp.node, nl.degree, nl.secondaries, feat,
-                          in_page);
+            encodePrimary(out, sp.node, g.degree(sp.node),
+                          layout.secondariesOf(sp.node), feat, addrs);
         } else {
-            // Neighbour range covered by this secondary: after the
-            // in-page portion and all earlier secondaries.
-            std::uint32_t start = nl.inPage;
-            for (std::uint32_t j = 0; j < sp.secondaryIdx; ++j)
-                start += nl.secondaries[j].count;
-            std::uint32_t count = nl.secondaries[sp.secondaryIdx].count;
-            std::vector<DgAddress> addrs;
-            addrs.reserve(count);
-            for (std::uint32_t i = 0; i < count; ++i)
-                addrs.push_back(
-                    layout.nodes[g.neighbor(sp.node, start + i)].primary);
             encodeSecondary(out, sp.node, addrs);
         }
     }

@@ -94,10 +94,6 @@ class SecondaryRefs
         : mem(refs.data()), n(static_cast<std::uint32_t>(refs.size()))
     {
     }
-    SecondaryRefs(const std::vector<SecondaryRef> &refs)
-        : SecondaryRefs(std::span<const SecondaryRef>(refs))
-    {
-    }
 
     /** @p count refs encoded back to back at @p bytes. */
     static SecondaryRefs

@@ -41,11 +41,13 @@ struct SecondaryRef
 /** Layout of one node's data across sections. */
 struct NodeLayout
 {
-    DgAddress primary;      ///< Address of the primary section.
-    std::uint32_t degree = 0;
+    DgAddress primary;        ///< Address of the primary section.
     std::uint32_t inPage = 0; ///< Neighbours stored inside the primary.
-    std::vector<SecondaryRef> secondaries;
+    /** Its first ref in DirectGraphLayout::secondaries; 32 bits hold
+     *  any index, as every secondary has its own 32-bit DgAddress. */
+    std::uint32_t firstSecondary = 0;
 };
+static_assert(sizeof(NodeLayout) == 12);
 
 /** One section's placement inside a page. */
 struct SectionPlacement
@@ -56,6 +58,13 @@ struct SectionPlacement
     std::uint32_t byteSize = 0;   ///< Unpadded size.
     /** For secondaries: index of this secondary in the node's list. */
     std::uint32_t secondaryIdx = 0;
+};
+
+/** A run of one node's neighbour list: indices [first, first + count). */
+struct EdgeRange
+{
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
 };
 
 /**
@@ -190,7 +199,6 @@ struct BuildStats
     std::uint64_t flashBytes = 0;     ///< Pages * pageSize actually used.
     std::uint64_t blockBytes = 0;     ///< Whole allocated blocks.
     std::uint64_t nodesWithSecondaries = 0;
-    std::uint64_t secondarySections = 0;
 
     /** Table IV inflation: extra flash over raw data, page-granular. */
     double
@@ -209,6 +217,7 @@ struct BuildStats
 struct DirectGraphLayout
 {
     std::vector<NodeLayout> nodes;  ///< Indexed by NodeId.
+    std::vector<SecondaryRef> secondaries; ///< All nodes', in node order.
     PageDirectory pages;
     std::vector<flash::BlockId> blocks; ///< Reserved blocks consumed.
     std::uint16_t featureDim = 0;
@@ -217,6 +226,32 @@ struct DirectGraphLayout
 
     /** Primary-section address of @p v (host-provided for targets). */
     DgAddress primaryOf(graph::NodeId v) const { return nodes[v].primary; }
+
+    /** Secondary refs of @p v, in neighbour-list order. */
+    std::span<const SecondaryRef>
+    secondariesOf(graph::NodeId v) const
+    {
+        const std::size_t first = nodes[v].firstSecondary;
+        const std::size_t end = std::size_t{v} + 1 < nodes.size()
+                                    ? nodes[v + 1].firstSecondary
+                                    : secondaries.size();
+        return {secondaries.data() + first, end - first};
+    }
+
+    /** The neighbour-list indices @p sp stores: a secondary's follow
+     *  the primary's inPage and all earlier secondaries'. */
+    EdgeRange
+    edgeRange(const SectionPlacement &sp) const
+    {
+        const std::uint32_t in_page = nodes[sp.node].inPage;
+        if (sp.type == SectionType::Primary)
+            return {0, in_page};
+        std::span<const SecondaryRef> secs = secondariesOf(sp.node);
+        std::uint32_t first = in_page;
+        for (std::uint32_t j = 0; j < sp.secondaryIdx; ++j)
+            first += secs[j].count;
+        return {first, secs[sp.secondaryIdx].count};
+    }
 
     /** Resolve (page, section) to its placement; nullptr if absent. */
     const SectionPlacement *find(DgAddress a) const { return pages.find(a); }

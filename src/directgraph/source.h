@@ -79,25 +79,20 @@ class LayoutSource : public SectionSource
         const SectionPlacement *sp = layout.find(addr);
         if (!sp)
             return std::nullopt;
-        const NodeLayout &nl = layout.nodes[sp->node];
-        const std::uint64_t first = g.firstEdge(sp->node);
+        const auto [first, count] = layout.edgeRange(*sp);
         SectionData s;
         s.type = sp->type;
         s.node = sp->node;
         if (sp->type == SectionType::Primary) {
-            s.totalNeighbors = nl.degree;
+            s.totalNeighbors = g.degree(sp->node);
             s.hasFeature = layout.featureDim > 0;
-            s.inPage = nl.inPage;
-            s.secondaries = nl.secondaries;
-            s.viewLayout(g, first, nl.inPage, layout.nodes.data());
+            s.inPage = count;
+            s.secondaries = layout.secondariesOf(sp->node);
         } else {
-            std::uint32_t start = nl.inPage;
-            for (std::uint32_t j = 0; j < sp->secondaryIdx; ++j)
-                start += nl.secondaries[j].count;
-            std::uint32_t count = nl.secondaries[sp->secondaryIdx].count;
             s.totalNeighbors = count;
-            s.viewLayout(g, first + start, count, layout.nodes.data());
         }
+        s.viewLayout(g, g.firstEdge(sp->node) + first, count,
+                     layout.nodes.data());
         return s;
     }
 

@@ -5,33 +5,48 @@
 namespace beacongnn::dg {
 
 std::string
-checkLayoutInvariants(const DirectGraphLayout &layout)
+checkLayoutInvariants(const DirectGraphLayout &layout, const graph::Graph &g)
 {
-    for (std::size_t v = 0; v < layout.nodes.size(); ++v) {
-        const NodeLayout &nl = layout.nodes[v];
+    auto bad_node = [](std::size_t v, const std::string &what) {
+        return "node " + std::to_string(v) + ": " + what;
+    };
+    if (layout.nodes.size() != g.numNodes())
+        return "layout has " + std::to_string(layout.nodes.size()) +
+               " nodes, graph has " + std::to_string(g.numNodes());
+    // secondariesOf() relies on both, so they are checked first.
+    const std::vector<NodeLayout> &nodes = layout.nodes;
+    for (std::size_t v = 1; v < nodes.size(); ++v)
+        if (nodes[v].firstSecondary < nodes[v - 1].firstSecondary)
+            return bad_node(v, "firstSecondary decreases");
+    if (!nodes.empty() &&
+        nodes.back().firstSecondary > layout.secondaries.size())
+        return bad_node(nodes.size() - 1,
+                        "firstSecondary past the secondary table");
+
+    for (graph::NodeId v = 0; v < nodes.size(); ++v) {
+        const NodeLayout &nl = nodes[v];
         const SectionPlacement *p = layout.find(nl.primary);
         if (!p)
-            return "node " + std::to_string(v) +
-                   ": primary address unresolvable";
+            return bad_node(v, "primary address unresolvable");
         if (p->type != SectionType::Primary)
-            return "node " + std::to_string(v) +
-                   ": primary address resolves to non-primary section";
+            return bad_node(v, "primary address resolves to non-primary "
+                               "section");
         if (p->node != v)
-            return "node " + std::to_string(v) +
-                   ": primary section owned by node " +
-                   std::to_string(p->node);
-        std::uint32_t covered = nl.inPage;
-        for (const auto &r : nl.secondaries) {
-            const SectionPlacement *s = layout.find(r.addr);
-            if (!s || s->type != SectionType::Secondary || s->node != v)
-                return "node " + std::to_string(v) +
-                       ": bad secondary reference";
-            covered += r.count;
+            return bad_node(v, "primary section owned by node " +
+                                   std::to_string(p->node));
+        std::uint64_t covered = nl.inPage;
+        std::span<const SecondaryRef> secs = layout.secondariesOf(v);
+        for (std::uint32_t j = 0; j < secs.size(); ++j) {
+            const SectionPlacement *s = layout.find(secs[j].addr);
+            if (!s || s->type != SectionType::Secondary || s->node != v ||
+                s->secondaryIdx != j)
+                return bad_node(v, "bad secondary reference");
+            covered += secs[j].count;
         }
-        if (covered != nl.degree)
-            return "node " + std::to_string(v) +
-                   ": sections cover " + std::to_string(covered) +
-                   " of " + std::to_string(nl.degree) + " neighbours";
+        if (covered != g.degree(v))
+            return bad_node(v, "sections cover " + std::to_string(covered) +
+                                   " of " + std::to_string(g.degree(v)) +
+                                   " neighbours");
     }
 
     // The directory walks pages in Ppa order, so the first violation

@@ -83,14 +83,15 @@ class AddressVerifier
 };
 
 /**
- * Whole-layout invariant check used by tests: every node resolvable,
- * every embedded address inside the reserved blocks, every section
- * within page bounds and below the per-page section cap.
+ * Whole-layout invariant check used by tests: every node of @p g
+ * resolvable, its sections covering exactly g.degree(v) neighbours,
+ * every section within page bounds and below the per-page section cap.
  *
  * @return Empty string when consistent, else a description of the
  *         first violation.
  */
-std::string checkLayoutInvariants(const DirectGraphLayout &layout);
+std::string checkLayoutInvariants(const DirectGraphLayout &layout,
+                                  const graph::Graph &g);
 
 } // namespace beacongnn::dg
 

@@ -18,6 +18,17 @@ namespace beacongnn::engines {
 // ====================================================================
 
 void
+CmdStats::record(sim::Tick created, sim::Tick sense_start,
+                 sim::Tick flash_time, sim::Tick parsed)
+{
+    waitBefore.add(sim::toMicros(sense_start - created));
+    flashTime.add(sim::toMicros(flash_time));
+    waitAfter.add(sim::toMicros(parsed - sense_start - flash_time));
+    lifetime.add(sim::toMicros(parsed - created));
+    lifetimeHist.add(sim::toMicros(parsed - created));
+}
+
+void
 CmdStats::merge(const CmdStats &other)
 {
     waitBefore.merge(other.waitBefore);
@@ -857,17 +868,9 @@ GnnEngine::streamCommand(Batch &b, flash::GnnSampleParams params,
     if (port.cache)
         port.cache->fill(self_addr.raw, parsed);
 
-    // ---- Command statistics --------------------------------------------
-    CmdStats &cmd_stats = lane.cmdStats;
-    sim::Tick wait_before = t.senseStart - created;
-    sim::Tick flash_time =
-        (t.senseEnd - t.senseStart) + (t.xferEnd - t.xferStart);
-    cmd_stats.waitBefore.add(sim::toMicros(wait_before));
-    cmd_stats.flashTime.add(sim::toMicros(flash_time));
-    cmd_stats.waitAfter.add(
-        sim::toMicros(parsed - created - wait_before - flash_time));
-    cmd_stats.lifetime.add(sim::toMicros(parsed - created));
-    cmd_stats.lifetimeHist.add(sim::toMicros(parsed - created));
+    lane.cmdStats.record(
+        created, t.senseStart,
+        (t.senseEnd - t.senseStart) + (t.xferEnd - t.xferStart), parsed);
     // Per-device health EWMA (alpha = 1/8): this device's own view of
     // its command latency, published as array.devD.health.* when
     // faults are armed. Lane-owned — never a routing input shared
@@ -1120,13 +1123,7 @@ GnnEngine::runHop(Batch &b, unsigned hop, sim::Tick hop_start)
             trace->endAsync("cmd", "cmd", span_id, parsed);
         }
         ++lane.commands;
-        sim::Tick wait_before = sense_start - created;
-        lane.cmdStats.waitBefore.add(sim::toMicros(wait_before));
-        lane.cmdStats.flashTime.add(sim::toMicros(flash_time));
-        lane.cmdStats.waitAfter.add(
-            sim::toMicros(parsed - created - wait_before - flash_time));
-        lane.cmdStats.lifetime.add(sim::toMicros(parsed - created));
-        lane.cmdStats.lifetimeHist.add(sim::toMicros(parsed - created));
+        lane.cmdStats.record(created, sense_start, flash_time, parsed);
         lane.hops[std::min<unsigned>(hop, model.hops)].cover(created,
                                                                parsed);
         return parsed;
@@ -1144,8 +1141,7 @@ GnnEngine::runHop(Batch &b, unsigned hop, sim::Tick hop_start)
     std::vector<PendingContinuation> pending_continuations;
 
     for (const auto &v : visits) {
-        const dg::NodeLayout &nl = layout.nodes[v.node];
-        dg::DgAddress primary = nl.primary;
+        dg::DgAddress primary = layout.primaryOf(v.node);
         gnn::Slot slot =
             addEntry(b, 0, v.node, static_cast<std::uint8_t>(hop),
                      v.parent);
@@ -1245,7 +1241,7 @@ GnnEngine::runHop(Batch &b, unsigned hop, sim::Tick hop_start)
             // them.
             std::vector<flash::Ppa> &pages = dl.pages;
             pages.assign(1, primary.page());
-            for (const auto &r : nl.secondaries) {
+            for (const auto &r : layout.secondariesOf(v.node)) {
                 const flash::Ppa pg = r.addr.page();
                 if (std::find(pages.begin() + 1, pages.end(), pg) ==
                     pages.end())
@@ -1254,14 +1250,15 @@ GnnEngine::runHop(Batch &b, unsigned hop, sim::Tick hop_start)
 
             // Functional sampling: plain uniform draws over the full
             // neighbour list (csrSample semantics).
-            if (nl.degree > 0) {
+            const std::uint32_t degree = g.degree(v.node);
+            if (degree > 0) {
                 const std::uint8_t fan = model.fanoutAt(
                     static_cast<unsigned>(std::min<unsigned>(hop, 255)));
                 for (std::uint8_t i = 0; i < fan; ++i) {
                     auto r = static_cast<std::uint32_t>(sim::keyedBelow(
                         model.seed, b.id,
                         static_cast<std::uint8_t>(hop), v.node, i,
-                        nl.degree));
+                        degree));
                     b.nextVisits.push_back({g.neighbor(v.node, r), slot});
                 }
             }

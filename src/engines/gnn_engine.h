@@ -111,6 +111,10 @@ struct CmdStats
     /** Lifetime distribution for tail percentiles (10 us buckets). */
     sim::Histogram lifetimeHist{10.0, 1024};
 
+    /** Add one command: created, sense start, flash busy time, parsed. */
+    void record(sim::Tick created, sim::Tick sense_start,
+                sim::Tick flash_time, sim::Tick parsed);
+
     /** Exact merge of another batch's statistics. */
     void merge(const CmdStats &other);
 

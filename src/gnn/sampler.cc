@@ -24,13 +24,10 @@ drawPrimary(std::uint64_t seed, std::uint64_t batch, std::uint8_t hop,
             continue;
         }
         // Locate the secondary section covering index r.
-        std::uint32_t start = in_page;
         std::uint32_t j = 0;
-        for (; j < secondaries.size(); ++j) {
-            if (r < start + secondaries[j].count)
-                break;
-            start += secondaries[j].count;
-        }
+        r -= in_page;
+        while (j < secondaries.size() && r >= secondaries[j].count)
+            r -= secondaries[j++].count;
         if (j == secondaries.size())
             continue; // Not covered by any secondary: no command.
         // Count the hit, keeping the list ordered by section index.
@@ -119,27 +116,26 @@ layoutSample(const graph::Graph &g, const dg::DirectGraphLayout &layout,
     auto children = [&](graph::NodeId v,
                         std::uint8_t hop) -> std::vector<graph::NodeId> {
         std::vector<graph::NodeId> out;
-        const dg::NodeLayout &nl = layout.nodes[v];
-        if (nl.degree == 0)
+        if (g.degree(v) == 0)
             return out;
         const std::uint8_t fan = m.fanoutAt(hop);
+        const auto secs = layout.secondariesOf(v);
         PrimaryDraws d;
-        drawPrimary(m.seed, batch, hop, v, fan, nl.degree, nl.inPage,
-                    nl.secondaries, d);
+        drawPrimary(m.seed, batch, hop, v, fan, g.degree(v),
+                    layout.nodes[v].inPage, secs, d);
         out.reserve(fan);
         for (std::uint32_t r : d.inPagePicks())
             out.push_back(g.neighbor(v, r));
         std::array<std::uint32_t, kMaxDraws> buf;
         for (const PrimaryDraws::SecondaryHits &h : d.secondaryHits()) {
-            std::uint32_t start = nl.inPage;
-            for (std::uint32_t k = 0; k < h.secondary; ++k)
-                start += nl.secondaries[k].count;
+            const auto [first, count] =
+                layout.edgeRange(*layout.find(secs[h.secondary].addr));
             std::span<std::uint32_t> picks =
                 std::span(buf).first(h.hits);
-            drawSecondary(m.seed, batch, hop, v, h.secondary, 0,
-                          nl.secondaries[h.secondary].count, picks);
+            drawSecondary(m.seed, batch, hop, v, h.secondary, 0, count,
+                          picks);
             for (std::uint32_t idx : picks)
-                out.push_back(g.neighbor(v, start + idx));
+                out.push_back(g.neighbor(v, first + idx));
         }
         return out;
     };

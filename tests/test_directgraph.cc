@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "directgraph/builder.h"
 #include "directgraph/source.h"
 #include "directgraph/verify.h"
@@ -160,7 +162,7 @@ TEST_P(BuilderTest, InvariantsHoldForVariousPageSizes)
     auto blocks = reserve(cfg, 400);
     ASSERT_FALSE(blocks.empty());
     DirectGraphLayout layout = buildLayout(g, feat, cfg, blocks);
-    EXPECT_EQ(checkLayoutInvariants(layout), "");
+    EXPECT_EQ(checkLayoutInvariants(layout, g), "");
     EXPECT_EQ(layout.nodes.size(), g.numNodes());
     EXPECT_GT(layout.stats.primaryPages, 0u);
 }
@@ -181,11 +183,10 @@ TEST(Builder, HighDegreeNodesSpill)
     graph::FeatureTable feat(64, 1);
     auto blocks = reserve(cfg, 64);
     DirectGraphLayout layout = buildLayout(g, feat, cfg, blocks);
-    EXPECT_EQ(checkLayoutInvariants(layout), "");
-    const NodeLayout &nl = layout.nodes[0];
-    EXPECT_GT(nl.secondaries.size(), 0u);
-    std::uint32_t covered = nl.inPage;
-    for (const auto &s : nl.secondaries)
+    EXPECT_EQ(checkLayoutInvariants(layout, g), "");
+    EXPECT_GT(layout.secondariesOf(0).size(), 0u);
+    std::uint32_t covered = layout.nodes[0].inPage;
+    for (const auto &s : layout.secondariesOf(0))
         covered += s.count;
     EXPECT_EQ(covered, 4000u);
     EXPECT_GT(layout.stats.secondaryPages, 0u);
@@ -200,7 +201,7 @@ TEST(Builder, CompactionPacksSmallSections)
     graph::FeatureTable feat(16, 2);
     auto blocks = reserve(cfg, 16);
     DirectGraphLayout layout = buildLayout(g, feat, cfg, blocks);
-    EXPECT_EQ(checkLayoutInvariants(layout), "");
+    EXPECT_EQ(checkLayoutInvariants(layout, g), "");
     // Way fewer pages than nodes.
     EXPECT_LT(layout.stats.primaryPages, 16u);
     // And no page exceeds the 4-bit section cap.
@@ -246,7 +247,7 @@ expectSourcesAgree(const DirectGraphLayout &layout, const graph::Graph &g,
             covered += a->secondaries[j].count;
         EXPECT_EQ(covered, g.degree(v));
         expectSameSection(*a, *b);
-        for (const auto &r : layout.nodes[v].secondaries) {
+        for (const auto &r : layout.secondariesOf(v)) {
             auto sa = bytes.fetch(r.addr);
             auto sb = meta.fetch(r.addr);
             ASSERT_TRUE(sa && sb);
@@ -268,7 +269,7 @@ TEST(Builder, MaterializeAndSourcesAgree)
     graph::FeatureTable feat(32, 5);
     auto blocks = reserve(cfg, 300);
     DirectGraphLayout layout = buildLayout(g, feat, cfg, blocks);
-    ASSERT_EQ(checkLayoutInvariants(layout), "");
+    ASSERT_EQ(checkLayoutInvariants(layout, g), "");
 
     flash::PageStore store(cfg);
     materialize(layout, g, feat, store);
@@ -277,28 +278,92 @@ TEST(Builder, MaterializeAndSourcesAgree)
     expectSourcesAgree(layout, g, store, feat.dim());
 }
 
+/** For every node, edgeRange() of its primary and then of each
+ *  secondary tiles [0, g.degree(v)) in order, and each section's
+ *  byteSize is the encoded size of what it holds. */
+void
+expectRangesTile(const DirectGraphLayout &layout, const graph::Graph &g,
+                 std::uint32_t feat_bytes)
+{
+    for (graph::NodeId v = 0; v < g.numNodes(); ++v) {
+        const SectionPlacement *p = layout.find(layout.primaryOf(v));
+        ASSERT_NE(p, nullptr) << "node " << v;
+        const std::span<const SecondaryRef> secs = layout.secondariesOf(v);
+        EdgeRange r = layout.edgeRange(*p);
+        ASSERT_EQ(r.first, 0u) << "node " << v;
+        ASSERT_EQ(p->byteSize,
+                  primarySectionBytes(static_cast<std::uint32_t>(
+                                          secs.size()),
+                                      feat_bytes, r.count))
+            << "node " << v;
+        std::uint32_t next = r.count;
+        for (std::uint32_t j = 0; j < secs.size(); ++j) {
+            const SectionPlacement *s = layout.find(secs[j].addr);
+            ASSERT_NE(s, nullptr) << "node " << v << " secondary " << j;
+            r = layout.edgeRange(*s);
+            ASSERT_EQ(r.first, next) << "node " << v << " secondary " << j;
+            ASSERT_EQ(r.count, secs[j].count);
+            ASSERT_GT(r.count, 0u);
+            ASSERT_EQ(s->byteSize, secondarySectionBytes(r.count));
+            next += r.count;
+        }
+        ASSERT_EQ(next, g.degree(v)) << "node " << v;
+    }
+}
+
 TEST(Builder, SectionsStayEncodableOnLargePages)
 {
     // sectionBytes is a 16-bit header field: on pages of 64 KiB and
     // more, a degree-20,000 hub (80 KB of addresses) must still be
-    // cut into sections the byte decoder reads back exactly.
-    for (std::uint32_t page_kb : {64u, 128u}) {
-        SCOPED_TRACE(page_kb);
-        flash::FlashConfig cfg = smallFlash();
-        cfg.pageSize = page_kb * 1024;
-        graph::Graph g = graph::generateRing(50, 20000);
-        graph::FeatureTable feat(32, 5);
-        auto blocks = reserve(cfg, 64);
-        DirectGraphLayout layout = buildLayout(g, feat, cfg, blocks);
-        ASSERT_EQ(checkLayoutInvariants(layout), "");
-        for (const auto &[ppa, sections] : layout.pages)
-            for (const auto &sp : sections)
-                EXPECT_LE(sp.byteSize, kMaxSectionBytes);
-        EXPECT_EQ(layout.stats.nodesWithSecondaries, 50u);
+    // cut into sections the byte decoder reads back exactly. Every
+    // graph form, at every page size, must also split each neighbour
+    // list into section ranges that tile it.
+    graph::RmatParams rp;
+    rp.nodes = 2048;
+    rp.avgDegree = 48;
+    graph::GeneratorParams gp;
+    gp.nodes = 400;
+    gp.avgDegree = 60;
+    gp.maxDegree = 2500;
+    // Hand-built: empty lists, degrees either side of a 4 KiB
+    // primary's in-page capacity (1,004 with 64 feature bytes), and a
+    // hub longer than the largest section on any page size.
+    std::vector<std::vector<graph::NodeId>> adj(40);
+    for (graph::NodeId v = 0; v < adj.size(); ++v) {
+        std::uint32_t degree = v == 0   ? 70000
+                               : v < 4  ? 1002 + v
+                               : v == 4 ? 0
+                                        : (v * 37) % 300;
+        for (std::uint32_t i = 0; i < degree; ++i)
+            adj[v].push_back((v + 1 + i) % 40);
+    }
+    const std::pair<const char *, graph::Graph> graphs[] = {
+        {"ring", graph::generateRing(50, 20000)},
+        {"rmat", graph::generateRmat(rp)},
+        {"power-law", graph::generatePowerLaw(gp)},
+        {"hand-built", graph::Graph(adj)},
+    };
+    for (std::uint32_t page_kb : {4u, 16u, 64u, 128u}) {
+        for (const auto &[name, g] : graphs) {
+            SCOPED_TRACE(std::to_string(page_kb) + " KiB, " + name);
+            flash::FlashConfig cfg = smallFlash();
+            cfg.pageSize = page_kb * 1024;
+            graph::FeatureTable feat(32, 5);
+            auto blocks = reserve(cfg, 128);
+            DirectGraphLayout layout = buildLayout(g, feat, cfg, blocks);
+            ASSERT_EQ(checkLayoutInvariants(layout, g), "");
+            for (const auto &[ppa, sections] : layout.pages)
+                for (const auto &sp : sections)
+                    EXPECT_LE(sp.byteSize, kMaxSectionBytes);
+            expectRangesTile(layout, g, feat.bytesPerNode());
+            if (std::string_view(name) == "ring") {
+                EXPECT_EQ(layout.stats.nodesWithSecondaries, 50u);
+            }
 
-        flash::PageStore store(cfg);
-        materialize(layout, g, feat, store);
-        expectSourcesAgree(layout, g, store, feat.dim());
+            flash::PageStore store(cfg);
+            materialize(layout, g, feat, store);
+            expectSourcesAgree(layout, g, store, feat.dim());
+        }
     }
 }
 
@@ -488,7 +553,7 @@ struct SpilledGraph
     {
         for (graph::NodeId v = 0; v < g.numNodes(); ++v)
             if (layout.nodes[v].inPage > 0 &&
-                !layout.nodes[v].secondaries.empty())
+                !layout.secondariesOf(v).empty())
                 return v;
         return g.numNodes();
     }
@@ -654,7 +719,8 @@ TEST(Verifier, ChecksEveryEmbeddedAddress)
     SpilledGraph sg;
     graph::NodeId v = sg.hub();
     ASSERT_LT(v, sg.g.numNodes());
-    const NodeLayout &nl = sg.layout.nodes[v];
+    const DgAddress primary = sg.layout.primaryOf(v);
+    const std::span<const SecondaryRef> secs = sg.layout.secondariesOf(v);
     AddressVerifier verifier(sg.layout.blocks, sg.cfg.pagesPerBlock);
     const std::uint32_t foreign =
         DgAddress(static_cast<flash::Ppa>(sg.cfg.totalPages() - 1), 0).raw;
@@ -672,23 +738,68 @@ TEST(Verifier, ChecksEveryEmbeddedAddress)
             verifier.pageImageSafe(section.page(), page, sg.feat.dim()));
     };
 
-    const SectionPlacement *prim = sg.layout.find(nl.primary);
+    const SectionPlacement *prim = sg.layout.find(primary);
     ASSERT_NE(prim, nullptr);
-    const auto n_secs = static_cast<std::uint32_t>(nl.secondaries.size());
+    const auto n_secs = static_cast<std::uint32_t>(secs.size());
     {
         SCOPED_TRACE("last in-page neighbour");
-        expect_rejected(nl.primary, prim->byteSize - kAddrBytes);
+        expect_rejected(primary, prim->byteSize - kAddrBytes);
     }
     {
         SCOPED_TRACE("last secondary ref");
-        expect_rejected(nl.primary,
+        expect_rejected(primary,
                         kHeaderBytes + (n_secs - 1) * kSecondaryRefBytes);
     }
     {
         SCOPED_TRACE("last entry of a secondary section");
-        DgAddress last = nl.secondaries.back().addr;
+        DgAddress last = secs.back().addr;
         expect_rejected(last, sg.layout.find(last)->byteSize - kAddrBytes);
     }
+}
+
+TEST(Verifier, LayoutCheckRejectsCorruptedTables)
+{
+    // Coverage is checked against the graph's degrees, so a corrupted
+    // node table or secondary list fails whatever it claims.
+    SpilledGraph sg;
+    ASSERT_EQ(checkLayoutInvariants(sg.layout, sg.g), "");
+    std::vector<graph::NodeId> spilled;
+    for (graph::NodeId v = 0; v < sg.g.numNodes(); ++v)
+        if (!sg.layout.secondariesOf(v).empty())
+            spilled.push_back(v);
+    ASSERT_GE(spilled.size(), 2u);
+    const graph::NodeId a = spilled[0];
+    const graph::NodeId b = spilled[1];
+
+    auto expect_rejected = [&](const char *what, const std::string &reason,
+                               auto corrupt) {
+        SCOPED_TRACE(what);
+        DirectGraphLayout bad = sg.layout;
+        corrupt(bad);
+        const std::string r = checkLayoutInvariants(bad, sg.g);
+        EXPECT_NE(r, "");
+        EXPECT_NE(r.find(reason), std::string::npos) << r;
+    };
+    expect_rejected("offset past the end", "past the secondary table",
+                    [](DirectGraphLayout &l) {
+                        l.nodes.back().firstSecondary =
+                            static_cast<std::uint32_t>(
+                                l.secondaries.size() + 1);
+                    });
+    expect_rejected("offset decreasing", "firstSecondary decreases",
+                    [&](DirectGraphLayout &l) {
+                        l.nodes[a].firstSecondary =
+                            l.nodes[a + 1].firstSecondary + 1;
+                    });
+    expect_rejected("short count", "sections cover",
+                    [&](DirectGraphLayout &l) {
+                        --l.secondaries[l.nodes[a].firstSecondary].count;
+                    });
+    expect_rejected("secondary of another node", "bad secondary reference",
+                    [&](DirectGraphLayout &l) {
+                        l.secondaries[l.nodes[a].firstSecondary].addr =
+                            l.secondaries[l.nodes[b].firstSecondary].addr;
+                    });
 }
 
 } // namespace

@@ -128,17 +128,17 @@ TEST(DieSampler, CoalescesSecondaryHits)
     flash::GnnGlobalConfig gc = rig.gnnCfg();
     gc.fanout = 32; // Many draws so several land per secondary.
     DieSampler s(rig.cfg.engine, gc);
-    const auto &nl = rig.layout.nodes[0];
-    ASSERT_GT(nl.secondaries.size(), 0u);
+    ASSERT_GT(rig.layout.secondariesOf(0).size(), 0u);
+    const dg::DgAddress primary = rig.layout.primaryOf(0);
 
     flash::GnnSampleParams p;
-    p.ppa = nl.primary.page();
-    p.sectionIndex = static_cast<std::uint8_t>(nl.primary.section());
+    p.ppa = primary.page();
+    p.sectionIndex = static_cast<std::uint8_t>(primary.section());
     p.hop = 0;
     p.sampleCount = 32;
     p.retrieveFeature = true;
     flash::GnnSampleResult r;
-    s.execute(rig.bytes->fetch(nl.primary), p, r);
+    s.execute(rig.bytes->fetch(primary), p, r);
     ASSERT_TRUE(r.ok);
 
     // At most one command per secondary section; counts sum with the

@@ -122,7 +122,7 @@ TEST(DrawPrimary, PartitionsAcrossRegions)
                                           {dg::DgAddress(2, 0), 100}};
     // degree 250 = 50 in page + 100 + 100.
     PrimaryDraws d;
-    drawPrimary(1, 0, 0, 42, 200, 250, 50, secs, d);
+    drawPrimary(1, 0, 0, 42, 200, 250, 50, dg::SecondaryRefs(secs), d);
     std::uint32_t total = static_cast<std::uint32_t>(d.inPagePicks().size());
     for (const auto &h : d.secondaryHits())
         total += h.hits;
@@ -138,7 +138,7 @@ TEST(DrawPrimary, PartitionsAcrossRegions)
     EXPECT_GT(d.secondaryHits()[1].hits, 0u);
 
     // The caller's storage is overwritten, not appended to.
-    drawPrimary(1, 0, 0, 42, 200, 0, 0, secs, d);
+    drawPrimary(1, 0, 0, 42, 200, 0, 0, dg::SecondaryRefs(secs), d);
     EXPECT_TRUE(d.inPagePicks().empty());
     EXPECT_TRUE(d.secondaryHits().empty());
 }
@@ -151,7 +151,8 @@ TEST(DrawPrimary, HitsFollowSectionOrderNotDrawOrder)
     for (std::uint32_t j = 0; j < 40; ++j)
         secs.push_back({dg::DgAddress(10 + j, 0), 7});
     PrimaryDraws d;
-    drawPrimary(3, 1, 1, 7, 255, 5 + 40 * 7, 5, secs, d);
+    drawPrimary(3, 1, 1, 7, 255, 5 + 40 * 7, 5, dg::SecondaryRefs(secs),
+                d);
     std::uint32_t total = static_cast<std::uint32_t>(d.inPagePicks().size());
     auto hits = d.secondaryHits();
     for (std::size_t k = 0; k < hits.size(); ++k) {
@@ -201,8 +202,7 @@ TEST(LayoutSampler, MatchesCsrWhenNoSpill)
     ssd::Ftl ftl(cfg);
     auto blocks = ftl.reserveBlocks(32);
     auto layout = dg::buildLayout(g, feat, cfg, blocks);
-    for (const auto &nl : layout.nodes)
-        ASSERT_TRUE(nl.secondaries.empty());
+    ASSERT_TRUE(layout.secondaries.empty());
 
     ModelConfig m = model33();
     std::vector<graph::NodeId> targets = {3, 77, 200};
@@ -233,7 +233,7 @@ TEST(LayoutSampler, SpilledNodesStillSampleOwnNeighbors)
     graph::FeatureTable feat(16, 2);
     ssd::Ftl ftl(cfg);
     auto layout = dg::buildLayout(g, feat, cfg, ftl.reserveBlocks(64));
-    ASSERT_GT(layout.nodes[0].secondaries.size(), 0u);
+    ASSERT_GT(layout.secondariesOf(0).size(), 0u);
 
     ModelConfig m = model33();
     m.fanout = 8; // More draws to hit the secondaries.

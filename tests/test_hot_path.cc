@@ -11,7 +11,8 @@
  * storage and the engine reuses one result buffer per device.
  *
  * The same counter also totals the bytes requested, which bounds the
- * memory a synthetic graph costs. The counts are exact, not timed, so
+ * memory a synthetic graph costs, and bounds the allocations of a
+ * DirectGraph layout build independently of the node count. The counts are exact, not timed, so
  * the bounds are deterministic.
  * The checked build's validator allocates per event by design, so the
  * tests skip there.
@@ -22,13 +23,16 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <utility>
 #include <vector>
 
+#include "directgraph/builder.h"
 #include "gnn/compute.h"
 #include "graph/dataset.h"
 #include "platforms/runner.h"
 #include "sim/rng.h"
 #include "sim/validator.h"
+#include "ssd/ftl.h"
 
 namespace {
 
@@ -219,6 +223,43 @@ TEST(HotPath, MeasureComputeAllocationsDoNotGrowWithTheSubgraph)
     const std::uint64_t small = measureComputeAllocations(1);
     EXPECT_EQ(measureComputeAllocations(1000), small);
     EXPECT_LT(small, 16u);
+}
+
+/** Allocations of one dg::buildLayout() call on amazon scaled to
+ *  @p nodes nodes, and the nodes in it that spill to secondaries. */
+std::pair<std::uint64_t, std::uint64_t>
+layoutBuildAllocations(graph::NodeId nodes)
+{
+    graph::WorkloadSpec spec = graph::workload("amazon");
+    spec.simNodes = nodes;
+    const graph::Graph g = spec.makeGraph();
+    const graph::FeatureTable feat = spec.makeFeatures();
+    const flash::FlashConfig cfg = platforms::RunConfig{}.system.flash;
+    const std::uint64_t block_bytes =
+        std::uint64_t{cfg.pagesPerBlock} * cfg.pageSize;
+    ssd::Ftl ftl(cfg);
+    const auto blocks = ftl.reserveBlocks(
+        g.numEdges() * 4 * 3 / block_bytes + cfg.totalDies() + 16);
+    const std::uint64_t before = g_allocations.load();
+    const dg::DirectGraphLayout layout =
+        dg::buildLayout(g, feat, cfg, blocks);
+    return {g_allocations.load() - before,
+            layout.stats.nodesWithSecondaries};
+}
+
+TEST(HotPath, LayoutBuildAllocationsDoNotGrowWithNodes)
+{
+    if constexpr (sim::kCheckedBuild)
+        GTEST_SKIP() << "allocation budgets hold for the unchecked build";
+    // The layout is flat: a node table, one secondary table in node
+    // order, the placements and the page directory. Only the secondary
+    // table's doublings grow with the graph (two more for 4x nodes),
+    // never one block per spilled node.
+    const auto [small, small_spilled] = layoutBuildAllocations(3000);
+    const auto [large, large_spilled] = layoutBuildAllocations(12000);
+    ASSERT_GT(large_spilled, small_spilled + 1000);
+    EXPECT_LE(large, small + 4) << small << " allocations at 3k nodes";
+    EXPECT_LT(large, 64u);
 }
 
 TEST(HotPath, SyntheticGraphAllocatesONodes)
